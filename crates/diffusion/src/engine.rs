@@ -4,20 +4,27 @@
 //! the welfare estimator `ρ(𝒮)` (§3.3/§4.1.1) and all baselines it is
 //! compared against are Monte-Carlo loops over cascade simulations. The
 //! engine therefore keeps every piece of per-cascade state in flat arrays
-//! indexed by the graph's dense `u32` node ids and stable global edge ids:
+//! indexed by the graph's dense `u32` node ids:
 //!
 //! * node `(desire, adoption)` state in an [`EpochMap`] — `reset()` is an
 //!   epoch bump, so starting a cascade costs `O(1)`, not `O(n)`;
-//! * edge-coin memoization in an [`EdgeStatusCache`] — each edge is
-//!   flipped at most once per cascade (Fig. 1) and the outcome is
-//!   remembered by edge id, not a hash of it;
+//! * live out-edge spans per node in `LiveLists` — there is no per-edge
+//!   memo. In the UIC model a node's out-edges are tested only when that
+//!   node expands, so at its *first* expansion every one of them is still
+//!   untested: the engine flips them all, in out-edge order, and appends
+//!   the live targets to one per-cascade buffer, recording the node's
+//!   `(start, end)` span. A later expansion (the node's adoption set grew
+//!   again) walks that span. Each edge is still flipped at most once per
+//!   cascade (Fig. 1), the coins are drawn in the same order as a per-edge
+//!   cache would draw them, and the memory is `O(n)` instead of `O(m)`;
 //! * the frontier double-buffer and touched-node lists in reusable `Vec`s.
 //!
 //! After warm-up no allocation happens per cascade. How edge liveness is
 //! decided is abstracted behind [`EdgeOracle`], unifying lazy coin
 //! sampling ([`LazyCoins`]) with deterministic replay of a pre-sampled
 //! [`LiveEdgeWorld`] ([`WorldOracle`]) — the two evaluation modes the
-//! paper's possible-world semantics require.
+//! paper's possible-world semantics require. Both go through the same
+//! live-span path.
 //!
 //! The [`mod@reference`] module keeps the original hash-map implementation as
 //! a correctness oracle: the proptest suite below checks dense-vs-
@@ -29,31 +36,28 @@ use crate::uic::UicOutcome;
 use crate::worlds::LiveEdgeWorld;
 use uic_graph::{Graph, NodeId};
 use uic_items::{AdoptionOracle, ItemSet, UtilityTable};
-use uic_util::{EdgeStatusCache, EpochMap, UicRng, VisitTags};
+use uic_util::{EpochMap, UicRng, VisitTags};
 
 /// Decides edge liveness during a cascade, identified by global edge id.
 ///
-/// Implementations must be *consistent within one cascade*: asking about
-/// the same edge twice returns the same answer (the UIC model flips each
-/// coin at most once).
+/// The engine asks about each edge **at most once per cascade**, at its
+/// source's first expansion, walking the source's out-edges in order;
+/// it remembers the live targets itself, per node.
 pub trait EdgeOracle {
     /// Is the edge with global id `edge_id` (base probability `p`) live?
     fn is_live(&mut self, edge_id: usize, p: f32) -> bool;
 }
 
-/// Lazy coin flipping with per-edge memoization — the Monte-Carlo mode.
+/// Lazy coin flipping — the Monte-Carlo mode. One coin per asked edge.
 pub struct LazyCoins<'a> {
     /// Coin source.
     pub rng: &'a mut UicRng,
-    /// Memoized outcomes, reset once per cascade by the caller.
-    pub coins: &'a mut EdgeStatusCache,
 }
 
 impl EdgeOracle for LazyCoins<'_> {
     #[inline]
-    fn is_live(&mut self, edge_id: usize, p: f32) -> bool {
-        let rng = &mut *self.rng;
-        self.coins.get_or_flip(edge_id, || rng.coin(p as f64))
+    fn is_live(&mut self, _edge_id: usize, p: f32) -> bool {
+        self.rng.coin(p as f64)
     }
 }
 
@@ -68,6 +72,67 @@ impl EdgeOracle for WorldOracle<'_> {
     }
 }
 
+/// The live out-neighbours of every node expanded so far in one cascade.
+///
+/// Valid for diffusions in which a node's out-edges are tested only when
+/// that node expands (UIC and its personalized-noise variant): the first
+/// [`Self::live_out`] call for a node asks the oracle about each of its
+/// out-edges in order and records the live targets; every later call
+/// returns the recorded span without asking again. Spans live in one
+/// flat buffer, so a cascade costs one `O(1)` reset and no allocation
+/// after warm-up.
+#[derive(Debug)]
+pub(crate) struct LiveLists {
+    /// `(start, end)` of each expanded node's span in `targets`.
+    span: EpochMap<(usize, usize)>,
+    /// Live targets of all expanded nodes, span after span.
+    targets: Vec<NodeId>,
+}
+
+impl LiveLists {
+    /// Empty lists for a graph of `n` nodes.
+    pub(crate) fn new(n: usize) -> LiveLists {
+        LiveLists {
+            span: EpochMap::new(n),
+            targets: Vec::new(),
+        }
+    }
+
+    /// Forgets every span (start of a new cascade).
+    pub(crate) fn reset(&mut self) {
+        self.span.reset();
+        self.targets.clear();
+    }
+
+    /// Live targets of `u`'s out-edges, in out-edge order (a parallel
+    /// edge appears once per live copy).
+    #[inline]
+    pub(crate) fn live_out<O: EdgeOracle>(
+        &mut self,
+        g: &Graph,
+        u: NodeId,
+        edges: &mut O,
+    ) -> &[NodeId] {
+        let (start, end) = match self.span.get(u as usize) {
+            Some(span) => span,
+            None => {
+                let start = self.targets.len();
+                let probs = g.out_arc_probs(u);
+                let first_eid = g.out_edge_id(u, 0);
+                for (i, &v) in g.out_neighbors(u).iter().enumerate() {
+                    if edges.is_live(first_eid + i, probs.get(i)) {
+                        self.targets.push(v);
+                    }
+                }
+                let span = (start, self.targets.len());
+                self.span.insert(u as usize, span);
+                span
+            }
+        };
+        &self.targets[start..end]
+    }
+}
+
 /// Per-node diffusion state: desire set `R(v)` and adoption set `A(v)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct NodeState {
@@ -76,7 +141,8 @@ struct NodeState {
 }
 
 /// Reusable dense cascade state: owns the per-node `(desire, adoption)`
-/// arrays, the per-edge coin cache, and the frontier double-buffer.
+/// arrays, the per-node live out-edge spans, and the frontier
+/// double-buffer.
 ///
 /// One `CascadeState` serves arbitrarily many cascades on the same graph;
 /// all resets are epoch bumps or `Vec::clear`, so a Monte-Carlo loop is
@@ -84,7 +150,7 @@ struct NodeState {
 #[derive(Debug)]
 pub struct CascadeState {
     node: EpochMap<NodeState>,
-    coins: EdgeStatusCache,
+    live: LiveLists,
     /// Nodes informed this cascade, in first-contact order.
     informed: Vec<NodeId>,
     frontier: Vec<NodeId>,
@@ -103,7 +169,7 @@ impl CascadeState {
         let n = g.num_nodes() as usize;
         CascadeState {
             node: EpochMap::new(n),
-            coins: EdgeStatusCache::new(g.num_edges()),
+            live: LiveLists::new(n),
             informed: Vec::new(),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
@@ -121,17 +187,7 @@ impl CascadeState {
         table: &UtilityTable,
         rng: &mut UicRng,
     ) -> UicOutcome {
-        // Detach the coin cache so the oracle and the node-state loop can
-        // borrow disjoint parts of `self` (the swap is pointer-sized).
-        let mut coins = std::mem::replace(&mut self.coins, EdgeStatusCache::new(0));
-        coins.reset();
-        let mut oracle = LazyCoins {
-            rng,
-            coins: &mut coins,
-        };
-        let out = self.run_with(g, allocation, table, &mut oracle);
-        self.coins = coins;
-        out
+        self.run_with(g, allocation, table, &mut LazyCoins { rng })
     }
 
     /// One UIC cascade in a fixed live-edge world (deterministic).
@@ -160,6 +216,7 @@ impl CascadeState {
     ) -> UicOutcome {
         let mut oracle = AdoptionOracle::new(table);
         self.node.reset();
+        self.live.reset();
         self.informed.clear();
         self.frontier.clear();
         self.next_frontier.clear();
@@ -190,19 +247,13 @@ impl CascadeState {
             steps += 1;
             self.step_touched.clear();
             self.step_tags.reset();
-            // Step 1–2: propagate adoption sets over (newly tested or
-            // already live) out-edges of last round's adopters.
+            // Step 1–2: propagate adoption sets over the live out-edges
+            // of last round's adopters (tested now, on first expansion).
             for fi in 0..self.frontier.len() {
                 let u = self.frontier[fi];
                 let a_u = self.node.get_or_default(u as usize).adopted;
                 debug_assert!(!a_u.is_empty(), "frontier node {u} adopted nothing");
-                let nbrs = g.out_neighbors(u);
-                let probs = g.out_arc_probs(u);
-                let first_eid = g.out_edge_id(u, 0);
-                for (i, &v) in nbrs.iter().enumerate() {
-                    if !edges.is_live(first_eid + i, probs.get(i)) {
-                        continue;
-                    }
+                for &v in self.live.live_out(g, u, edges) {
                     let (st, fresh) = self.node.slot(v as usize);
                     if fresh {
                         self.informed.push(v);

@@ -15,13 +15,16 @@
 //! `V(T) − P(T) + N_v(T)` directly over the (small) candidate subsets.
 //! Per-cascade state is dense and epoch-stamped like the base engine:
 //! `(desire, adopted)` pairs in an [`EpochMap`], realized noise in a flat
-//! `n × |I|` array, and edge coins in an [`EdgeStatusCache`] — no hashing
-//! or allocation inside the cascade loop.
+//! `n × |I|` array, and live out-edge spans per expanded node in the
+//! engine's `LiveLists` — no hashing or allocation inside the cascade loop.
+//! `rng` feeds only edge coins (noise comes from `noise_seed`), so a node's
+//! out-edges are all flipped, in order, at its first expansion.
 
 use crate::allocation::Allocation;
+use crate::engine::{LazyCoins, LiveLists};
 use uic_graph::{Graph, NodeId};
 use uic_items::{ItemSet, UtilityModel};
-use uic_util::{split_seed, EdgeStatusCache, EpochMap, OnlineStats, UicRng, VisitTags};
+use uic_util::{split_seed, EpochMap, OnlineStats, UicRng, VisitTags};
 
 /// Outcome of one personalized-noise UIC diffusion, sorted by node id.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -68,7 +71,7 @@ pub struct PersonalizedSimulator {
     /// Realized noise per `(node, item)`, row-major; valid only for nodes
     /// stamped in `state` this cascade.
     noise: Box<[f64]>,
-    coins: EdgeStatusCache,
+    live: LiveLists,
     /// Nodes informed this cascade, in first-contact order.
     informed: Vec<NodeId>,
     frontier: Vec<NodeId>,
@@ -86,7 +89,7 @@ impl PersonalizedSimulator {
             num_items: num_items as usize,
             state: EpochMap::new(n),
             noise: vec![0.0; n * num_items as usize].into_boxed_slice(),
-            coins: EdgeStatusCache::new(g.num_edges()),
+            live: LiveLists::new(n),
             informed: Vec::new(),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
@@ -147,7 +150,8 @@ impl PersonalizedSimulator {
         let k = self.num_items;
         debug_assert_eq!(k, model.num_items() as usize, "item universe mismatch");
         self.state.reset();
-        self.coins.reset();
+        self.live.reset();
+        let mut coins = LazyCoins { rng };
         self.informed.clear();
         self.frontier.clear();
         self.next_frontier.clear();
@@ -180,17 +184,7 @@ impl PersonalizedSimulator {
             for fi in 0..self.frontier.len() {
                 let u = self.frontier[fi];
                 let a_u = self.state.get_or_default(u as usize).adopted;
-                let nbrs = g.out_neighbors(u);
-                let probs = g.out_arc_probs(u);
-                let first_eid = g.out_edge_id(u, 0);
-                for (i, &v) in nbrs.iter().enumerate() {
-                    let rng_ref = &mut *rng;
-                    let live = self
-                        .coins
-                        .get_or_flip(first_eid + i, || rng_ref.coin(probs.get(i) as f64));
-                    if !live {
-                        continue;
-                    }
+                for &v in self.live.live_out(g, u, &mut coins) {
                     let (_, fresh) = self.state.slot(v as usize);
                     if fresh {
                         self.informed.push(v);

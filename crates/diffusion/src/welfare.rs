@@ -20,27 +20,33 @@
 //!
 //! * Sample `s` always draws from its own RNG stream
 //!   `split_seed(seed, s)`, independent of which worker runs it.
-//! * The reduction accumulates fixed 64-sample blocks sequentially and
-//!   merges the blocks in block order; threads only decide *who*
-//!   computes a block, never the boundaries or merge order.
+//! * Workers compute one welfare value per sample into a shared vector,
+//!   each owning a contiguous range of samples. The cut may fall inside
+//!   a block: it decides only *who* computes a value.
+//! * The reduction then folds that vector sequentially into fixed
+//!   64-sample blocks and merges the blocks in block order, on one
+//!   thread, after the workers are done.
+//! * The worker count is sized by graph work, `(n + m) · samples`,
+//!   through [`uic_util::parallelism`] (so `UIC_THREADS` caps it), not by
+//!   sample count: sixteen Orkut-sized cascades use every core, four
+//!   thousand cascades on a toy graph use one.
 //!
 //! Consequently the result is **bit-identical across thread counts**
 //! (1, 2, 8, or the automatic sizing) and across runs with the same
 //! seed. [`WelfareEstimator::with_threads`] changes scheduling, never a
 //! bit of the output. This holds for every shipped objective and is
-//! asserted by the in-crate tests and the `objective_props` proptest
-//! suite.
+//! asserted by the in-crate tests, the `objective_props` proptest suite
+//! and the `cascade_kernel` suite (every split of 1–130 samples).
 
 use crate::allocation::Allocation;
-use crate::ic::num_threads;
 use crate::objective::{default_objective, WelfareObjective};
-use crate::uic::UicSimulator;
+use crate::uic::{UicOutcome, UicSimulator};
 use crate::worlds::enumerate_edge_worlds;
 use crossbeam::thread;
 use std::sync::Arc;
 use uic_graph::Graph;
 use uic_items::{UtilityModel, UtilityTable};
-use uic_util::{split_seed, CachePadded, OnlineStats, UicRng};
+use uic_util::{parallelism, split_seed, OnlineStats, UicRng};
 
 /// Parallel Monte-Carlo welfare estimator bound to a graph and a utility
 /// model.
@@ -49,7 +55,7 @@ pub struct WelfareEstimator<'a> {
     model: &'a UtilityModel,
     sims: u32,
     seed: u64,
-    /// Worker-thread override; `None` sizes by hardware and sample count.
+    /// Worker-thread override; `None` sizes by hardware and graph work.
     threads: Option<usize>,
     /// Per-world aggregation; the utilitarian sum unless overridden.
     objective: Arc<dyn WelfareObjective>,
@@ -183,26 +189,54 @@ impl<'a> WelfareEstimator<'a> {
     }
 
     /// Samples per reduction block (see [`Self::stats_range`]).
-    const BLOCK: u32 = 64;
+    const BLOCK: usize = 64;
+
+    /// Graph work (`n + m` per sample, summed over samples) below which
+    /// another worker thread does not pay for its spawn and its own
+    /// simulator: about half a millisecond of cascade at the ~2 ns per
+    /// node or edge that a graph-wide cascade costs on the Flixster and
+    /// Orkut stand-ins.
+    const WORK_GRAIN: usize = 1 << 18;
 
     /// Statistics over the sample-index range `[first, last)`.
     ///
-    /// The reduction is structured for **thread-count invariance**: the
-    /// range is cut into fixed [`Self::BLOCK`]-sample blocks, each block
-    /// is accumulated sequentially, and blocks are merged in block order.
-    /// Worker threads only decide *who* computes a block, never the block
-    /// boundaries or merge order, so the result is bit-identical for any
-    /// thread count (asserted in the test suite).
-    ///
-    /// Blocks are handed out by **static contiguous chunking** — worker
-    /// `t` owns blocks `[t·⌈B/T⌉, (t+1)·⌈B/T⌉)` and writes its partials
-    /// straight into its cache-line-padded slice of the result array —
-    /// so there is no shared counter to contend on and no false sharing
-    /// between adjacent workers' partials.
+    /// The per-sample welfare values come from [`Self::sample_values`];
+    /// the range is then cut into fixed [`Self::BLOCK`]-sample blocks,
+    /// each block is accumulated sequentially, and blocks are merged in
+    /// block order. Threads never see the reduction, so the result is
+    /// bit-identical for any thread count (asserted in the test suite).
     fn stats_range(&self, allocation: &Allocation, first: u32, last: u32) -> OnlineStats {
-        if first >= last {
-            return OnlineStats::new();
+        let objective: &dyn WelfareObjective = self.objective.as_ref();
+        let num_nodes = self.graph.num_nodes();
+        let values = self.sample_values(allocation, first, last, |outcome, table| {
+            objective.welfare(outcome, table, num_nodes)
+        });
+        let mut total = OnlineStats::new();
+        for block in values.chunks(Self::BLOCK) {
+            let mut stats = OnlineStats::new();
+            for &x in block {
+                stats.push(x);
+            }
+            total.merge(&stats);
         }
+        total
+    }
+
+    /// The one Monte-Carlo sample kernel: `value(outcome, table)` of
+    /// every sample `s ∈ [first, last)`, in sample order.
+    ///
+    /// Sample `s` draws its noise world and its edge coins from its own
+    /// stream `split_seed(seed, s)`. Workers own contiguous sample
+    /// ranges and write straight into their slice of the result, so the
+    /// values do not depend on the thread count. Workers are sized by
+    /// graph work (`(n + m) · samples` against [`Self::WORK_GRAIN`]),
+    /// not by sample count: a handful of samples on a million-node graph
+    /// is worth several cores, thousands on a toy graph are not.
+    fn sample_values<F>(&self, allocation: &Allocation, first: u32, last: u32, value: F) -> Vec<f64>
+    where
+        F: Fn(&UicOutcome, &UtilityTable) -> f64 + Sync,
+    {
+        let count = last.saturating_sub(first) as usize;
         // When the noise model is degenerate the utility table is shared
         // across all simulations; otherwise each world rebuilds it (2^n
         // entries — cheap for the paper's ≤ 10 items).
@@ -211,95 +245,55 @@ impl<'a> WelfareEstimator<'a> {
         } else {
             None
         };
-        let count = last - first;
-        let threads = self.threads.unwrap_or_else(|| num_threads(count));
         let graph = self.graph;
         let model = self.model;
         let seed = self.seed;
-        let objective: &dyn WelfareObjective = self.objective.as_ref();
-        let num_nodes = graph.num_nodes();
-        let run_block = |sim: &mut UicSimulator, lo: u32, hi: u32| -> OnlineStats {
-            let mut stats = OnlineStats::new();
-            for s in lo..hi {
+        let run = |lo: u32, out: &mut [f64]| {
+            let mut sim = UicSimulator::new(graph);
+            for (s, slot) in (lo..).zip(out.iter_mut()) {
                 let mut rng = UicRng::new(split_seed(seed, s as u64));
-                let outcome_welfare = match &shared_table {
-                    Some(table) => {
-                        let outcome = sim.run(graph, allocation, table, &mut rng);
-                        objective.welfare(&outcome, table, num_nodes)
-                    }
+                *slot = match &shared_table {
+                    Some(table) => value(&sim.run(graph, allocation, table, &mut rng), table),
                     None => {
                         let world = model.sample_noise(&mut rng);
                         let table = model.table_for(&world);
-                        let outcome = sim.run(graph, allocation, &table, &mut rng);
-                        objective.welfare(&outcome, &table, num_nodes)
+                        value(&sim.run(graph, allocation, &table, &mut rng), &table)
                     }
                 };
-                stats.push(outcome_welfare);
             }
-            stats
         };
-        let num_blocks = count.div_ceil(Self::BLOCK);
-        let block_range = |b: u32| {
-            let lo = first + b * Self::BLOCK;
-            (lo, (lo + Self::BLOCK).min(last))
-        };
-        let mut partials: Vec<CachePadded<OnlineStats>> = (0..num_blocks)
-            .map(|_| CachePadded::new(OnlineStats::new()))
-            .collect();
-        if threads <= 1 || num_blocks == 1 {
-            let mut sim = UicSimulator::new(graph);
-            for (b, slot) in partials.iter_mut().enumerate() {
-                let (lo, hi) = block_range(b as u32);
-                slot.0 = run_block(&mut sim, lo, hi);
-            }
+        let mut values = vec![0.0; count];
+        let graph_work = graph.num_nodes() as usize + graph.num_edges();
+        let threads = self
+            .threads
+            .unwrap_or_else(|| parallelism(count.saturating_mul(graph_work), Self::WORK_GRAIN))
+            .min(count);
+        if threads <= 1 {
+            run(first, &mut values);
         } else {
-            let per = (num_blocks as usize).div_ceil(threads);
+            let per = count.div_ceil(threads);
+            let run = &run;
             thread::scope(|scope| {
-                for (t, chunk) in partials.chunks_mut(per).enumerate() {
-                    let first_block = (t * per) as u32;
-                    scope.spawn(move |_| {
-                        let mut sim = UicSimulator::new(graph);
-                        for (i, slot) in chunk.iter_mut().enumerate() {
-                            let (lo, hi) = block_range(first_block + i as u32);
-                            slot.0 = run_block(&mut sim, lo, hi);
-                        }
-                    });
+                for (t, chunk) in values.chunks_mut(per).enumerate() {
+                    scope.spawn(move |_| run(first + (t * per) as u32, chunk));
                 }
             })
             .expect("crossbeam scope failed");
         }
-        let mut total = OnlineStats::new();
-        for p in &partials {
-            total.merge(&p.0);
-        }
-        total
+        values
     }
 
     /// Estimated expected number of `(node, item)` adoptions — the
     /// "maximizing just the adoption" objective the paper contrasts with
-    /// welfare.
+    /// welfare. Runs on the same sample kernel as the welfare estimate,
+    /// folded sequentially over all samples.
     pub fn estimate_adoptions(&self, allocation: &Allocation) -> f64 {
-        let shared_table: Option<UtilityTable> = if self.model.noise().is_none() {
-            Some(self.model.deterministic_table())
-        } else {
-            None
-        };
-        let mut sim = UicSimulator::new(self.graph);
+        let values = self.sample_values(allocation, 0, self.sims, |outcome, _| {
+            outcome.total_adoptions() as f64
+        });
         let mut stats = OnlineStats::new();
-        for s in 0..self.sims {
-            let mut rng = UicRng::new(split_seed(self.seed, s as u64));
-            let total = match &shared_table {
-                Some(table) => sim
-                    .run(self.graph, allocation, table, &mut rng)
-                    .total_adoptions(),
-                None => {
-                    let world = self.model.sample_noise(&mut rng);
-                    let table = self.model.table_for(&world);
-                    sim.run(self.graph, allocation, &table, &mut rng)
-                        .total_adoptions()
-                }
-            };
-            stats.push(total as f64);
+        for x in values {
+            stats.push(x);
         }
         stats.mean()
     }

@@ -82,6 +82,8 @@ impl Default for ServerConfig {
 
 struct Queue {
     conns: VecDeque<TcpStream>,
+    /// Workers not attached to a connection. Counted from spawn, so the
+    /// pool admits connections before a worker first parks.
     idle_workers: usize,
 }
 
@@ -137,18 +139,19 @@ impl Server {
             }
         }
         let metrics = Arc::clone(engine.metrics());
+        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             engine,
             metrics,
             state: AtomicU8::new(STATE_RUNNING),
             queue: Mutex::new(Queue {
                 conns: VecDeque::new(),
-                idle_workers: 0,
+                idle_workers: workers,
             }),
             cv: Condvar::new(),
             default_deadline_ms: cfg.default_deadline_ms,
         });
-        let mut threads = Vec::with_capacity(cfg.workers + 2);
+        let mut threads = Vec::with_capacity(workers + 2);
         {
             let shared = shared.clone();
             threads.push(
@@ -157,7 +160,7 @@ impl Server {
                     .spawn(move || accept_loop(listener, &shared, cfg.queue_cap))?,
             );
         }
-        for i in 0..cfg.workers.max(1) {
+        for i in 0..workers {
             let shared = shared.clone();
             threads.push(
                 std::thread::Builder::new()
@@ -298,11 +301,13 @@ fn admit(mut stream: TcpStream, shared: &Shared, queue_cap: usize) {
     }
 }
 
+/// Serves queued connections until the drain empties the queue. The
+/// worker starts out counted idle (see [`Server::start`]) and counts
+/// itself idle again after each connection it finishes.
 fn worker_loop(shared: &Shared) {
     loop {
         let stream = {
             let mut q = shared.queue.lock().expect("admission queue lock");
-            q.idle_workers += 1;
             let stream = loop {
                 if let Some(s) = q.conns.pop_front() {
                     break Some(s);
@@ -324,6 +329,11 @@ fn worker_loop(shared: &Shared) {
             // Draining and nothing queued: this worker is done.
             None => return,
         }
+        shared
+            .queue
+            .lock()
+            .expect("admission queue lock")
+            .idle_workers += 1;
     }
 }
 

@@ -329,6 +329,33 @@ fn a_full_admission_queue_answers_overloaded() {
     handle.join();
 }
 
+#[test]
+fn a_connection_right_after_start_is_admitted() {
+    // Workers count as idle from spawn: with one worker and no queue
+    // slack, a client that connects before the worker thread first parks
+    // must be served, never refused as `overloaded`. Repeated because the
+    // race it pins only shows on some schedules.
+    let graph = test_graph();
+    for round in 0..60 {
+        let handle = Server::start(
+            Arc::clone(&graph),
+            ServerConfig {
+                workers: 1,
+                queue_cap: 0,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind loopback");
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let resp = client.request("ping").unwrap();
+        assert!(resp.is_ok(), "round {round}: {resp:?}");
+        drop(client);
+        handle.shutdown();
+        let metrics = handle.join();
+        assert!(metrics.contains(r#""overloaded_total":0,"#), "{metrics}");
+    }
+}
+
 /// After the pinned connection closes, the worker needs a moment to
 /// return to the pool; retry until a connection is actually served.
 fn retry_connect_until_served(addr: std::net::SocketAddr) -> Client {

@@ -12,7 +12,13 @@
 //! [`EdgeStatusCache`] is the per-edge specialization used to memoize edge
 //! coins: each edge of a cascade is flipped at most once (Fig. 1 of the
 //! paper), and the cache remembers the outcome for the rest of the cascade
-//! — indexed by the graph's stable global edge id, not a hash of it.
+//! — indexed by the graph's stable global edge id, not a hash of it. It
+//! costs `O(m)` memory per simulator, so only the processes that need a
+//! per-edge memo use it: the Com-IC simulator and the RR-SIM+/RR-CIM
+//! passes, where node coins interleave with edge coins and a node's
+//! out-edges cannot all be flipped up front. The UIC engine and the
+//! personalized-noise simulator instead flip a node's out-edges together
+//! at its first expansion and keep only the live targets, per node.
 
 /// A dense `usize → T` map over a fixed key range with `O(1)` bulk reset.
 ///

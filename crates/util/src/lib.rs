@@ -14,8 +14,7 @@
 //!   ([`parallelism`]) used by every fork-join loop (RR-set generation,
 //!   welfare estimation) so sizing policy lives in exactly one place,
 //!   with a process-wide cached hardware width overridable via the
-//!   `UIC_THREADS` environment variable, plus [`CachePadded`] for
-//!   false-sharing-free per-worker accumulators.
+//!   `UIC_THREADS` environment variable.
 //! * [`rng`] — deterministic, splittable random number generation
 //!   (SplitMix64 seeding + xoshiro256++ streams) so that every experiment in
 //!   the reproduction is replayable from a single `u64` seed, independent of
@@ -54,7 +53,7 @@ pub use epoch::{EdgeStatusCache, EpochMap};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, LatencyRing};
-pub use parallel::{hardware_parallelism, parallelism, CachePadded, THREADS_ENV_VAR};
+pub use parallel::{hardware_parallelism, parallelism, THREADS_ENV_VAR};
 pub use rng::{split_seed, UicRng};
 pub use special::{ln_gamma, log_choose, normal_cdf, normal_quantile};
 pub use stats::{mean, OnlineStats};

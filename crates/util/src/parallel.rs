@@ -65,38 +65,6 @@ pub fn parallelism(work_items: usize, grain: usize) -> usize {
         .max(1)
 }
 
-/// Pads (and aligns) `T` to a 64-byte cache line, so adjacent per-worker
-/// accumulators in one array never share a line — concurrent writes stay
-/// free of false sharing. Deref-transparent.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[repr(align(64))]
-pub struct CachePadded<T>(pub T);
-
-impl<T> CachePadded<T> {
-    /// Wraps `value` in its own cache line.
-    pub fn new(value: T) -> CachePadded<T> {
-        CachePadded(value)
-    }
-
-    /// Unwraps the padded value.
-    pub fn into_inner(self) -> T {
-        self.0
-    }
-}
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T> std::ops::DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,15 +113,5 @@ mod tests {
         assert_eq!(resolve_width(Some("0"), 8), 8);
         // Detection of 0 (cannot happen, but) still yields a worker.
         assert_eq!(resolve_width(None, 0), 1);
-    }
-
-    #[test]
-    fn cache_padding_separates_lines() {
-        assert!(std::mem::align_of::<CachePadded<u64>>() >= 64);
-        assert!(std::mem::size_of::<[CachePadded<u64>; 2]>() >= 128);
-        let mut p = CachePadded::new(3u64);
-        *p += 1;
-        assert_eq!(*p, 4);
-        assert_eq!(p.into_inner(), 4);
     }
 }
