@@ -6,61 +6,15 @@
 //! greedy seed set certifies a lower bound `LB ≥ OPT_k/(1+ε′)`; phase 2
 //! regenerates `θ = λ*/LB` fresh RR sets and runs the final
 //! `NodeSelection` on them.
+//!
+//! That is PRIMA with a one-entry budget vector: the union bound over
+//! budgets adds `log_n 1 = 0` to `ℓ`, and PRIMA's certification loop
+//! and final regeneration reduce to IMM's two phases. So [`imm`] runs
+//! [`crate::prima()`] on `[k]` and maps the result.
 
-use crate::node_selection::{node_selection, NodeSelectionResult};
-use crate::rrset::{DiffusionModel, RrCollection};
+use crate::prima::prima;
+use crate::rrset::DiffusionModel;
 use uic_graph::{Graph, NodeId};
-use uic_util::log_choose;
-
-/// Sample-size coefficients shared by IMM and PRIMA.
-pub(crate) struct Bounds {
-    n: f64,
-    ell: f64,
-    eps: f64,
-    eps_prime: f64,
-}
-
-impl Bounds {
-    /// `ell` here is the *effective* ℓ (PRIMA passes its inflated ℓ′).
-    pub(crate) fn new(n: u32, eps: f64, ell: f64) -> Bounds {
-        assert!(n >= 2, "IMM needs at least two nodes");
-        assert!(eps > 0.0 && eps < 1.0, "ε must be in (0,1)");
-        assert!(ell > 0.0, "ℓ must be positive");
-        Bounds {
-            n: n as f64,
-            ell,
-            eps,
-            eps_prime: std::f64::consts::SQRT_2 * eps,
-        }
-    }
-
-    /// Eq. (7): `λ′_k = (2 + 2/3·ε′)(ln C(n,k) + ℓ·ln n + ln log₂ n)·n/ε′²`.
-    pub(crate) fn lambda_prime(&self, k: u32) -> f64 {
-        let e = self.eps_prime;
-        (2.0 + 2.0 / 3.0 * e)
-            * (log_choose(self.n as u64, k as u64) + self.ell * self.n.ln() + self.n.log2().ln())
-            * self.n
-            / (e * e)
-    }
-
-    /// Eq. (8): `λ*_k = 2n((1−1/e)·α + β_k)²·ε⁻²`.
-    pub(crate) fn lambda_star(&self, k: u32) -> f64 {
-        let one_minus_inv_e = 1.0 - 1.0 / std::f64::consts::E;
-        let alpha = (self.ell * self.n.ln() + 2f64.ln()).sqrt();
-        let beta = (one_minus_inv_e
-            * (log_choose(self.n as u64, k as u64) + self.ell * self.n.ln() + 2f64.ln()))
-        .sqrt();
-        2.0 * self.n * (one_minus_inv_e * alpha + beta).powi(2) / (self.eps * self.eps)
-    }
-
-    pub(crate) fn eps_prime(&self) -> f64 {
-        self.eps_prime
-    }
-
-    pub(crate) fn max_rounds(&self) -> u32 {
-        (self.n.log2() as u32).saturating_sub(1).max(1)
-    }
-}
 
 /// Result of an IMM run.
 #[derive(Debug, Clone)]
@@ -81,38 +35,16 @@ pub struct ImmResult {
 /// `ell` is fractional to allow PRIMA-style inflation; plain IMM calls
 /// pass the paper's default `ℓ = 1`.
 pub fn imm(g: &Graph, k: u32, eps: f64, ell: f64, model: DiffusionModel, seed: u64) -> ImmResult {
-    let n = g.num_nodes();
-    assert!(k >= 1 && k <= n, "budget {k} out of range for n={n}");
-    // ℓ ← ℓ + ln 2 / ln n boosts success probability to 1 − 1/n^ℓ
-    // (accounts for the two-phase union bound).
-    let ell = ell + 2f64.ln() / (n as f64).ln();
-    let bounds = Bounds::new(n, eps, ell);
-    let eps_prime = bounds.eps_prime();
-    let mut coll = RrCollection::new(g, model, seed);
-    let mut lb = 1.0f64;
-    let nf = n as f64;
-    for i in 1..=bounds.max_rounds() {
-        let x = nf / 2f64.powi(i as i32);
-        let theta_i = (bounds.lambda_prime(k) / x).ceil() as usize;
-        coll.extend_to(g, theta_i);
-        let sel = node_selection(&mut coll, k);
-        let est = sel.estimated_spread(n, k as usize);
-        if est >= (1.0 + eps_prime) * x {
-            lb = est / (1.0 + eps_prime);
-            break;
-        }
-    }
-    let theta = (bounds.lambda_star(k) / lb).ceil() as usize;
-    // Chen (2018) fix: regenerate from scratch for the final selection.
-    coll.reset();
-    coll.extend_to(g, theta);
-    let sel: NodeSelectionResult = node_selection(&mut coll, k);
-    let estimated_spread = sel.estimated_spread(n, sel.seeds.len());
+    let r = prima(g, &[k], eps, ell, model, seed);
+    // The expression `NodeSelectionResult::estimated_spread` evaluates,
+    // so the bits match a selection result's own estimate.
+    let estimated_spread =
+        g.num_nodes() as f64 * (r.coverage[k as usize - 1] as f64 / r.rr_sets_final as f64);
     ImmResult {
-        seeds: sel.seeds,
+        seeds: r.order,
         estimated_spread,
-        rr_sets_final: coll.len(),
-        rr_sets_total: coll.total_generated(),
+        rr_sets_final: r.rr_sets_final,
+        rr_sets_total: r.rr_sets_total,
     }
 }
 
@@ -197,14 +129,6 @@ mod tests {
             tight.rr_sets_final,
             loose.rr_sets_final
         );
-    }
-
-    #[test]
-    fn lambda_formulas_are_monotone_in_k() {
-        let b = Bounds::new(1000, 0.3, 1.0);
-        assert!(b.lambda_prime(10) > b.lambda_prime(2));
-        assert!(b.lambda_star(10) > b.lambda_star(2));
-        assert!(b.lambda_prime(2) > 0.0);
     }
 
     #[test]

@@ -19,13 +19,16 @@
 //!   the serving layer's query plan cache.
 //! * [`mod@imm`] — IMM of Tang et al. (2015) with the Chen (2018) fix: the
 //!   final RR collection is regenerated from scratch before the last
-//!   `NodeSelection`.
+//!   `NodeSelection`. It is PRIMA on the single budget `[k]`.
 //! * [`tim`] — TIM⁺ (Tang et al., 2014), the predecessor that generates
 //!   substantially more RR sets; the RR-SIM+/RR-CIM baselines are built
 //!   on it, matching Fig. 6's memory comparison.
 //! * [`mod@prima`] — **PRIMA** (Algorithm 2): the prefix-preserving
 //!   multi-budget IMM extension that powers bundleGRD; its seed ordering
 //!   is simultaneously near-optimal for *every* budget in the vector.
+//!   One certification loop over a [`WarmArena`] serves IMM, offline
+//!   PRIMA (final selection on regenerated sets) and the warm-arena
+//!   [`warm_prima_on`] (final selection on the arena prefix).
 //! * [`greedy`] — CELF-style lazy greedy over an arbitrary monotone
 //!   submodular oracle (exact spread on tiny graphs in tests; MC spread
 //!   otherwise), used to validate approximation ratios empirically.
@@ -53,15 +56,10 @@ pub mod tim;
 
 pub use greedy::{greedy_celf, greedy_mc_spread};
 pub use imm::{imm, ImmResult};
-pub use node_selection::{
-    node_selection, node_selection_for, node_selection_prefix, node_selection_prefix_indexed,
-    NodeSelectionResult,
-};
+pub use node_selection::{node_selection, node_selection_prefix_indexed, NodeSelectionResult};
 pub use opim::{opim_c, OpimResult};
 pub use plan::SelectionPlan;
-pub use prima::{
-    prima, prima_for, warm_prima, warm_prima_on, ExclusiveArena, PrimaResult, WarmArena,
-};
+pub use prima::{prima, warm_prima, warm_prima_on, ExclusiveArena, PrimaResult, WarmArena};
 pub use rrset::{DiffusionModel, RrCollection, RrSampler, StandardRrSampler};
 pub use skim::{skim, SkimOptions, SkimResult};
 pub use ssa::{ssa, SsaResult};

@@ -54,7 +54,6 @@
 use crate::rrset::RrCollection;
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
-use uic_diffusion::{ObjectiveError, WelfareObjective};
 use uic_graph::NodeId;
 use uic_util::{BitSet, EpochMap};
 
@@ -96,32 +95,22 @@ impl NodeSelectionResult {
 /// persistent inverted index and lazy bucketed updates; repeated calls
 /// on an unchanged (or incrementally grown) collection reuse the index.
 pub fn node_selection(coll: &mut RrCollection, k: u32) -> NodeSelectionResult {
-    node_selection_prefix(coll, k, coll.len())
+    coll.ensure_index();
+    node_selection_prefix_indexed(coll, k, coll.len())
 }
 
 /// [`node_selection`] restricted to the arena **prefix** of the first
 /// `num_sets` sets (capped at the collection length): coverage is
 /// counted, and sets are marked covered, only among ids `< num_sets`.
 ///
-/// With `num_sets == coll.len()` this is exactly [`node_selection`].
-/// The point of the restriction is the warm-arena query path: RR sets
-/// are pure functions of `(seed, index)` and the arena only grows, so a
-/// prefix-restricted selection on a big shared collection is
+/// RR sets are pure functions of `(seed, index)` and the arena only
+/// grows, so a prefix-restricted selection on a big shared collection is
 /// bit-identical to [`node_selection`] on a fresh identically-seeded
-/// collection grown to exactly `num_sets` — no from-scratch regeneration
-/// needed to reproduce an offline run.
-pub fn node_selection_prefix(
-    coll: &mut RrCollection,
-    k: u32,
-    num_sets: usize,
-) -> NodeSelectionResult {
-    coll.ensure_index();
-    node_selection_prefix_indexed(coll, k, num_sets)
-}
-
-/// Read-only [`node_selection_prefix`] for shared (`&coll`) access: the
-/// selection itself never mutates the collection — only the index
-/// bring-up does — so once the index is current
+/// collection grown to exactly `num_sets` — no from-scratch
+/// regeneration needed to reproduce an offline run.
+///
+/// Takes `&coll`: the selection never mutates the collection — only the
+/// index bring-up does — so once the index is current
 /// ([`RrCollection::ensure_index`], under a shared-arena holder's write
 /// lock), any number of selections may run concurrently under read
 /// locks. This is the `uic-serve` query path: CELF selection under a
@@ -359,28 +348,6 @@ pub(crate) fn greedy_extend(
     scratch.heap_buf = heap_buf;
 }
 
-/// Objective-aware [`node_selection`].
-///
-/// RR-set coverage counting estimates `Σ_v σ_v` — it is only an unbiased
-/// proxy for objectives that decompose as a **sum of per-node terms**
-/// ([`WelfareObjective::is_additive`]). For additive objectives this is
-/// exactly [`node_selection`]; for any other objective it refuses with
-/// [`ObjectiveError::NonAdditive`] rather than silently optimizing the
-/// wrong quantity (use a simulation-based solver instead).
-pub fn node_selection_for(
-    coll: &mut RrCollection,
-    k: u32,
-    objective: &dyn WelfareObjective,
-) -> Result<NodeSelectionResult, ObjectiveError> {
-    if !objective.is_additive() {
-        return Err(ObjectiveError::NonAdditive {
-            objective: objective.key().to_string(),
-            algorithm: "RR-set NodeSelection".to_string(),
-        });
-    }
-    Ok(node_selection(coll, k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,33 +508,19 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1, 0.6), (1, 2, 0.6), (2, 3, 0.6), (3, 4, 0.6)]);
         let mut warm = RrCollection::new(&g, DiffusionModel::IC, 41);
         warm.extend_to(&g, 3_000);
+        warm.ensure_index();
         for prefix in [50usize, 700, 3_000] {
             let mut fresh = RrCollection::new(&g, DiffusionModel::IC, 41);
             fresh.extend_to(&g, prefix);
             assert_eq!(
-                crate::node_selection::node_selection_prefix(&mut warm, 2, prefix),
+                node_selection_prefix_indexed(&warm, 2, prefix),
                 node_selection(&mut fresh, 2),
                 "prefix {prefix}"
             );
         }
         // Full-length and oversized prefixes degrade to node_selection.
         let full = node_selection(&mut warm, 3);
-        assert_eq!(
-            crate::node_selection::node_selection_prefix(&mut warm, 3, usize::MAX),
-            full
-        );
-    }
-
-    #[test]
-    fn objective_gate_accepts_additive_and_rejects_the_rest() {
-        use uic_diffusion::{Maximin, Utilitarian};
-        let mut coll = collection_from_sets(3, vec![vec![0], vec![0, 1], vec![2]]);
-        let gated = node_selection_for(&mut coll, 2, &Utilitarian).unwrap();
-        let plain = node_selection(&mut coll, 2);
-        assert_eq!(gated, plain);
-        let err = node_selection_for(&mut coll, 2, &Maximin).unwrap_err();
-        assert!(matches!(err, ObjectiveError::NonAdditive { .. }));
-        assert!(err.to_string().contains("maximin"));
+        assert_eq!(node_selection_prefix_indexed(&warm, 3, usize::MAX), full);
     }
 
     #[test]

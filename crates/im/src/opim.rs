@@ -30,8 +30,8 @@
 //! doubling stops at `θ_max = λ*(k)` (IMM's worst-case size), so quality
 //! is guaranteed even if certification never fires.
 
-use crate::imm::Bounds;
 use crate::node_selection::node_selection;
+use crate::prima::Bounds;
 use crate::rrset::{DiffusionModel, RrCollection};
 use uic_graph::{Graph, NodeId};
 use uic_util::split_seed;

@@ -13,12 +13,29 @@
 //!   and the previous greedy ordering's prefixes on budget switches, and
 //! * regenerating the final collection from scratch (the Chen 2018 fix)
 //!   before the last `NodeSelection`.
+//!
+//! ## One certification loop, two final steps
+//!
+//! The sampling phase (lines 1–21) is one private driver, `certify`,
+//! over any [`WarmArena`]. It returns `θ`, the number of sets the final
+//! selection needs, and leaves the arena at the prefix it reached. With
+//! a single budget it is exactly IMM's sampling phase, so
+//! [`crate::imm()`] is `prima` on `[k]`. The entry points differ only in
+//! their final step:
+//!
+//! * [`prima`] runs the loop over a fresh collection, then resets it and
+//!   selects on `θ` fresh sets (lines 22–25, Chen's regeneration).
+//! * [`warm_prima_on`] tops the arena up to `θ` and selects on its first
+//!   `θ` sets. It skips the regeneration: sets drawn after a reset exist
+//!   in no shared extend-only arena, so no later query could replay
+//!   them, and answering bit-identically from a warm arena is what a
+//!   resident server needs. The final selection therefore reuses
+//!   certification-phase sets, as the original IMM did.
 
-use crate::imm::Bounds;
 use crate::node_selection::{node_selection, node_selection_prefix_indexed, NodeSelectionResult};
 use crate::rrset::{DiffusionModel, RrCollection};
-use uic_diffusion::{ObjectiveError, WelfareObjective};
 use uic_graph::{Graph, NodeId};
+use uic_util::log_choose;
 
 /// Result of a PRIMA run.
 #[derive(Debug, Clone)]
@@ -44,6 +61,11 @@ impl PrimaResult {
 }
 
 /// Runs PRIMA on budget vector `budgets` (must be sorted non-increasing).
+///
+/// The certification loop runs over a fresh collection; the final
+/// selection then follows Chen (2018): the collection is reset and `θ`
+/// fresh sets (the sample stream continues past the certification sets)
+/// are drawn for the last `NodeSelection`.
 pub fn prima(
     g: &Graph,
     budgets: &[u32],
@@ -52,97 +74,31 @@ pub fn prima(
     model: DiffusionModel,
     seed: u64,
 ) -> PrimaResult {
-    let n = g.num_nodes();
-    assert!(!budgets.is_empty(), "budget vector must be non-empty");
-    assert!(
-        budgets.windows(2).all(|w| w[0] >= w[1]),
-        "budgets must be sorted in non-increasing order"
-    );
-    let b = budgets[0];
-    assert!(b >= 1 && b <= n, "max budget {b} out of range for n={n}");
-    assert!(*budgets.last().unwrap() >= 1, "budgets must be ≥ 1");
-
-    let nf = n as f64;
-    // Line 2: ℓ ← ℓ + ln 2 / ln n, then ℓ′ = log_n(n^ℓ · |b̄|).
-    let ell_boosted = ell + 2f64.ln() / nf.ln();
-    let ell_prime = ell_boosted + (budgets.len() as f64).ln() / nf.ln();
-    let bounds = Bounds::new(n, eps, ell_prime);
-    let eps_prime = bounds.eps_prime();
-
     let mut coll = RrCollection::new(g, model, seed);
-    let mut s = 0usize; // index into budgets (paper's s−1)
-    let mut i = 1u32;
-    let mut budget_switch = false;
-    let mut prev_selection: Option<NodeSelectionResult> = None;
-    let mut theta_required = 0usize;
-    let max_rounds = bounds.max_rounds();
-
-    while i <= max_rounds && s < budgets.len() {
-        let k = budgets[s];
-        let x = nf / 2f64.powi(i as i32);
-        let theta_i = (bounds.lambda_prime(k) / x).ceil() as usize;
-        coll.extend_to(g, theta_i);
-        // Line 8–11: on a budget switch, reuse the previous ordering's
-        // prefix instead of re-running NodeSelection.
-        let estimate = if budget_switch {
-            let prev = prev_selection
-                .as_ref()
-                .expect("budget switch implies a previous selection");
-            let prefix = prev.prefix(k as usize);
-            coll.num_nodes() as f64 * fraction_covered(&mut coll, prefix)
-        } else {
-            let sel = node_selection(&mut coll, k);
-            let est = sel.estimated_spread(n, sel.seeds.len().min(k as usize));
-            prev_selection = Some(sel);
-            est
-        };
-        if estimate >= (1.0 + eps_prime) * x {
-            // Lines 13–17: certify LB, size the collection for this
-            // budget, move to the next one.
-            let lb = estimate / (1.0 + eps_prime);
-            let theta_k = (bounds.lambda_star(k) / lb).ceil() as usize;
-            theta_required = theta_required.max(theta_k);
-            s += 1;
-            budget_switch = true;
-            if s < budgets.len() {
-                // Grow R so the next budget's coverage check can reuse it
-                // (line 15). Skipped after the last budget: the final
-                // collection is regenerated from scratch anyway.
-                coll.extend_to(g, theta_k);
-            }
-        } else {
-            i += 1;
-            budget_switch = false;
-        }
-    }
-    let budgets_certified = s;
-    if s < budgets.len() {
-        // Lines 20–21: remaining budgets fall back to LB = 1; the largest
-        // remaining requirement is the current budget's λ* (λ* is
-        // monotone in k and budgets are non-increasing).
-        let theta_k = bounds.lambda_star(budgets[s]).ceil() as usize;
-        theta_required = theta_required.max(theta_k);
-    }
+    let certified = match certify(g, &ExclusiveArena::new(&mut coll), budgets, eps, ell) {
+        Ok(c) => c,
+        Err(never) => match never {},
+    };
     // Lines 22–25: regenerate from scratch, final NodeSelection at b.
     coll.reset();
-    coll.extend_to(g, theta_required.max(1));
-    let sel = node_selection(&mut coll, b);
+    coll.extend_to(g, certified.theta);
+    let sel = node_selection(&mut coll, budgets[0]);
     PrimaResult {
         order: sel.seeds,
         coverage: sel.covered,
         rr_sets_final: coll.len(),
         rr_sets_total: coll.total_generated(),
-        budgets_certified,
+        budgets_certified: certified.budgets_certified,
     }
 }
 
 /// PRIMA over a **warm, shared, extend-only** RR collection — the
 /// resident-service variant of [`prima`].
 ///
-/// Runs the same certification loop and final selection as [`prima`],
-/// but every selection and spread estimate is restricted to an explicit
-/// arena *prefix* (the running maximum of the sample-size targets this
-/// call has requested), and the collection is **never reset**: samples
+/// Runs the same certification loop as [`prima`], with every selection
+/// and spread estimate restricted to an explicit arena *prefix* (the
+/// running maximum of the sample-size targets this call has requested),
+/// but the collection is **never reset**: samples
 /// are only ever topped up with [`RrCollection::extend_to`]. Because RR
 /// set `j` is a pure function of `(seed, j)` and prefixes of a warm
 /// arena coincide with a cold arena's contents, the result is a pure
@@ -260,9 +216,10 @@ impl WarmArena for ExclusiveArena<'_> {
 /// [`warm_prima`] over any [`WarmArena`]: the same certification loop,
 /// with top-up routed through `prepare` (exclusive) and every selection
 /// / coverage estimate through `read` (shared). Bit-identical to
-/// [`prima`] with the arena's `(model, seed)` regardless of how large
-/// the shared arena already is or concurrently becomes — all reads are
-/// prefix-restricted to this call's own running extend target.
+/// [`warm_prima`] on a fresh collection with the arena's `(model, seed)`
+/// regardless of how large the shared arena already is or concurrently
+/// becomes — all reads are prefix-restricted to this call's own running
+/// extend target.
 ///
 /// # Errors
 /// Whatever `prepare` returns; the loop stops at the first refusal.
@@ -277,6 +234,99 @@ pub fn warm_prima_on<A: WarmArena>(
     eps: f64,
     ell: f64,
 ) -> Result<PrimaResult, A::Error> {
+    let certified = certify(g, arena, budgets, eps, ell)?;
+    // Final selection on the θ-required prefix — top-up, never reset.
+    let cur = certified.len.max(certified.theta);
+    arena.prepare(g, cur)?;
+    let sel = arena.select(budgets[0], certified.theta);
+    Ok(PrimaResult {
+        order: sel.seeds,
+        coverage: sel.covered,
+        rr_sets_final: certified.theta,
+        rr_sets_total: cur as u64,
+        budgets_certified: certified.budgets_certified,
+    })
+}
+
+/// Sample-size coefficients of the certification loop (Eqs. 7–8), shared
+/// by IMM and PRIMA through [`certify`]; OPIM-C and SSA borrow `λ*` as
+/// their sample cap.
+pub(crate) struct Bounds {
+    n: f64,
+    ell: f64,
+    eps: f64,
+    eps_prime: f64,
+}
+
+impl Bounds {
+    /// `ell` here is the *effective* ℓ (PRIMA passes its inflated ℓ′).
+    pub(crate) fn new(n: u32, eps: f64, ell: f64) -> Bounds {
+        assert!(n >= 2, "IMM needs at least two nodes");
+        assert!(eps > 0.0 && eps < 1.0, "ε must be in (0,1)");
+        assert!(ell > 0.0, "ℓ must be positive");
+        Bounds {
+            n: n as f64,
+            ell,
+            eps,
+            eps_prime: std::f64::consts::SQRT_2 * eps,
+        }
+    }
+
+    /// Eq. (7): `λ′_k = (2 + 2/3·ε′)(ln C(n,k) + ℓ·ln n + ln log₂ n)·n/ε′²`.
+    pub(crate) fn lambda_prime(&self, k: u32) -> f64 {
+        let e = self.eps_prime;
+        (2.0 + 2.0 / 3.0 * e)
+            * (log_choose(self.n as u64, k as u64) + self.ell * self.n.ln() + self.n.log2().ln())
+            * self.n
+            / (e * e)
+    }
+
+    /// Eq. (8): `λ*_k = 2n((1−1/e)·α + β_k)²·ε⁻²`.
+    pub(crate) fn lambda_star(&self, k: u32) -> f64 {
+        let one_minus_inv_e = 1.0 - 1.0 / std::f64::consts::E;
+        let alpha = (self.ell * self.n.ln() + 2f64.ln()).sqrt();
+        let beta = (one_minus_inv_e
+            * (log_choose(self.n as u64, k as u64) + self.ell * self.n.ln() + 2f64.ln()))
+        .sqrt();
+        2.0 * self.n * (one_minus_inv_e * alpha + beta).powi(2) / (self.eps * self.eps)
+    }
+
+    pub(crate) fn eps_prime(&self) -> f64 {
+        self.eps_prime
+    }
+
+    pub(crate) fn max_rounds(&self) -> u32 {
+        (self.n.log2() as u32).saturating_sub(1).max(1)
+    }
+}
+
+/// What the certification loop hands to a final selection step.
+struct Certified {
+    /// `θ`: sets the final `NodeSelection` needs (at least 1).
+    theta: usize,
+    /// Budget entries certified inside the loop; the rest fell back to
+    /// `LB = 1`.
+    budgets_certified: usize,
+    /// Arena prefix the loop reached: the running maximum of every
+    /// extend target it requested.
+    len: usize,
+}
+
+/// The certification loop of PRIMA (Algorithm 2, lines 1–21): IMM's
+/// sampling phase run over a vector of budgets, and exactly IMM's for a
+/// single budget. The one driver behind [`prima`], [`warm_prima_on`] and
+/// [`crate::imm()`] (see the module docs for their final steps).
+///
+/// Every selection and spread estimate reads the arena prefix of the
+/// sets this call asked for, so sets other holders appended never change
+/// the outcome; on a fresh arena that prefix is the whole collection.
+fn certify<A: WarmArena>(
+    g: &Graph,
+    arena: &A,
+    budgets: &[u32],
+    eps: f64,
+    ell: f64,
+) -> Result<Certified, A::Error> {
     let n = g.num_nodes();
     assert!(!budgets.is_empty(), "budget vector must be non-empty");
     assert!(
@@ -296,15 +346,15 @@ pub fn warm_prima_on<A: WarmArena>(
     });
 
     let nf = n as f64;
+    // Line 2: ℓ ← ℓ + ln 2 / ln n (the two-phase union bound), then
+    // ℓ′ = log_n(n^ℓ · |b̄|) (one more over budgets; 0 for one budget).
     let ell_boosted = ell + 2f64.ln() / nf.ln();
     let ell_prime = ell_boosted + (budgets.len() as f64).ln() / nf.ln();
     let bounds = Bounds::new(n, eps, ell_prime);
     let eps_prime = bounds.eps_prime();
 
-    // The prefix: how many sets a cold run would hold right now — the
-    // running max of every extend target requested by this call.
     let mut cur = 0usize;
-    let mut s = 0usize;
+    let mut s = 0usize; // index into budgets (paper's s−1)
     let mut i = 1u32;
     let mut budget_switch = false;
     let mut prev_selection: Option<NodeSelectionResult> = None;
@@ -317,16 +367,16 @@ pub fn warm_prima_on<A: WarmArena>(
         let theta_i = (bounds.lambda_prime(k) / x).ceil() as usize;
         cur = cur.max(theta_i);
         arena.prepare(g, cur)?;
+        // Lines 8–11: on a budget switch, reuse the previous ordering's
+        // prefix instead of re-running NodeSelection.
         let estimate = if budget_switch {
             let prev = prev_selection
                 .as_ref()
                 .expect("budget switch implies a previous selection");
             let prefix = prev.prefix(k as usize);
-            // Shaped exactly like `prima`'s `n * fraction_covered(..)`
-            // (spread ÷ n, then × n): the spare divide/multiply pair is
-            // not a float identity, and certification thresholds compare
-            // this value — bit-identity to the cold path requires the
-            // identical rounding sequence.
+            // `F_R(S)` (spread ÷ n) times n: the divide/multiply pair is
+            // not a float identity, and the threshold below compares this
+            // value, so the rounding sequence is part of the output.
             arena.read(|coll| {
                 nf * (coll.estimate_spread_prefix_indexed(prefix, cur) / coll.num_nodes() as f64)
             })
@@ -337,12 +387,17 @@ pub fn warm_prima_on<A: WarmArena>(
             est
         };
         if estimate >= (1.0 + eps_prime) * x {
+            // Lines 13–17: certify LB, size the collection for this
+            // budget, move to the next one.
             let lb = estimate / (1.0 + eps_prime);
             let theta_k = (bounds.lambda_star(k) / lb).ceil() as usize;
             theta_required = theta_required.max(theta_k);
             s += 1;
             budget_switch = true;
             if s < budgets.len() {
+                // Grow R so the next budget's coverage check can reuse
+                // it (line 15); skipped after the last budget, where the
+                // final step sizes the collection itself.
                 cur = cur.max(theta_k);
                 arena.prepare(g, cur)?;
             }
@@ -351,56 +406,18 @@ pub fn warm_prima_on<A: WarmArena>(
             budget_switch = false;
         }
     }
-    let budgets_certified = s;
     if s < budgets.len() {
+        // Lines 20–21: remaining budgets fall back to LB = 1; the largest
+        // remaining requirement is the current budget's λ* (λ* is
+        // monotone in k and budgets are non-increasing).
         let theta_k = bounds.lambda_star(budgets[s]).ceil() as usize;
         theta_required = theta_required.max(theta_k);
     }
-    // Final selection on the θ-required prefix — top-up, never reset.
-    let final_sets = theta_required.max(1);
-    cur = cur.max(final_sets);
-    arena.prepare(g, cur)?;
-    let sel = arena.select(b, final_sets);
-    Ok(PrimaResult {
-        order: sel.seeds,
-        coverage: sel.covered,
-        rr_sets_final: final_sets,
-        rr_sets_total: cur as u64,
-        budgets_certified,
+    Ok(Certified {
+        theta: theta_required.max(1),
+        budgets_certified: s,
+        len: cur,
     })
-}
-
-/// Objective-aware [`prima`].
-///
-/// PRIMA's guarantee (Definition 1) rests on RR-set coverage being an
-/// unbiased estimator of the objective, which requires a
-/// sum-decomposable ([`WelfareObjective::is_additive`]) objective. For
-/// those this is exactly [`prima`]; for any other objective it refuses
-/// with [`ObjectiveError::NonAdditive`].
-pub fn prima_for(
-    g: &Graph,
-    budgets: &[u32],
-    eps: f64,
-    ell: f64,
-    model: DiffusionModel,
-    seed: u64,
-    objective: &dyn WelfareObjective,
-) -> Result<PrimaResult, ObjectiveError> {
-    if !objective.is_additive() {
-        return Err(ObjectiveError::NonAdditive {
-            objective: objective.key().to_string(),
-            algorithm: "PRIMA".to_string(),
-        });
-    }
-    Ok(prima(g, budgets, eps, ell, model, seed))
-}
-
-/// `F_R(S)` for an arbitrary seed set over a collection.
-fn fraction_covered(coll: &mut RrCollection, seeds: &[NodeId]) -> f64 {
-    if coll.is_empty() {
-        return 0.0;
-    }
-    coll.estimate_spread(seeds) / coll.num_nodes() as f64
 }
 
 #[cfg(test)]
@@ -484,7 +501,6 @@ mod tests {
     }
 
     fn brute_force_opt(g: &Graph, k: u32) -> f64 {
-        let n = g.num_nodes();
         let mut best = 0.0f64;
         // enumerate all k-subsets of 0..n (n ≤ 10 in tests)
         fn rec(g: &Graph, start: u32, left: u32, cur: &mut Vec<u32>, best: &mut f64) {
@@ -499,19 +515,15 @@ mod tests {
             }
         }
         rec(g, 0, k, &mut Vec::new(), &mut best);
-        let _ = n;
         best
     }
 
     #[test]
-    fn uniform_budget_vector_matches_single_budget_shape() {
-        // With one budget entry PRIMA degenerates to (fixed) IMM modulo
-        // the |b̄| = 1 union-bound term, which is log_n(1) = 0.
-        let g = hub_graph();
-        let p = prima(&g, &[3], 0.4, 1.0, DiffusionModel::IC, 21);
-        let i = crate::imm::imm(&g, 3, 0.4, 1.0, DiffusionModel::IC, 21);
-        assert_eq!(p.order, i.seeds);
-        assert_eq!(p.rr_sets_final, i.rr_sets_final);
+    fn lambda_formulas_are_monotone_in_k() {
+        let b = Bounds::new(1000, 0.3, 1.0);
+        assert!(b.lambda_prime(10) > b.lambda_prime(2));
+        assert!(b.lambda_star(10) > b.lambda_star(2));
+        assert!(b.lambda_prime(2) > 0.0);
     }
 
     #[test]
@@ -530,19 +542,6 @@ mod tests {
             many.rr_sets_final >= single.rr_sets_final,
             "ℓ′ union bound must not shrink the sample size"
         );
-    }
-
-    #[test]
-    fn objective_gate_matches_plain_prima_for_utilitarian() {
-        use uic_diffusion::{Ces, Utilitarian};
-        let g = hub_graph();
-        let gated = prima_for(&g, &[4, 2], 0.4, 1.0, DiffusionModel::IC, 7, &Utilitarian).unwrap();
-        let plain = prima(&g, &[4, 2], 0.4, 1.0, DiffusionModel::IC, 7);
-        assert_eq!(gated.order, plain.order);
-        assert_eq!(gated.rr_sets_final, plain.rr_sets_final);
-        let ces = Ces::new(0.5).unwrap();
-        let err = prima_for(&g, &[4, 2], 0.4, 1.0, DiffusionModel::IC, 7, &ces).unwrap_err();
-        assert!(matches!(err, ObjectiveError::NonAdditive { .. }));
     }
 
     #[test]

@@ -842,21 +842,7 @@ impl RrCollection {
     /// no per-call allocation, instead of scanning the whole collection
     /// (OPIM/SSA call this in their per-round certificate loops).
     pub fn estimate_spread(&mut self, seeds: &[NodeId]) -> f64 {
-        self.estimate_spread_prefix(seeds, self.len())
-    }
-
-    /// [`RrCollection::estimate_spread`] restricted to the arena
-    /// **prefix** of the first `num_sets` sets (capped at the current
-    /// length).
-    ///
-    /// Because set `j` is a pure function of `(sampler, j)` and the
-    /// arena only ever grows, the estimate over a prefix of a warm
-    /// collection is bit-identical to [`RrCollection::estimate_spread`]
-    /// on a fresh identically-seeded collection grown to exactly
-    /// `num_sets` — the property the resident-server query path (one
-    /// shared arena, many queries of differing sample sizes) relies on.
-    pub fn estimate_spread_prefix(&mut self, seeds: &[NodeId], num_sets: usize) -> f64 {
-        let len = num_sets.min(self.len());
+        let len = self.len();
         if len == 0 {
             return 0.0;
         }
@@ -865,29 +851,25 @@ impl RrCollection {
             self.cover_marks = VisitTags::new(len);
         }
         self.cover_marks.reset();
-        let limit = len as u32;
-        let mut covered = 0u64;
-        for &s in seeds {
-            let v = s as usize;
-            // Per-node id lists are ascending: only the run below `limit`
-            // belongs to the prefix.
-            let ids = &self.index.ids[self.index.start[v]..self.index.start[v + 1]];
-            let in_prefix = ids.partition_point(|&id| id < limit);
-            for &rid in &ids[..in_prefix] {
-                if self.cover_marks.mark(rid as usize) {
-                    covered += 1;
-                }
-            }
-        }
+        let covered = self.index.count_covered(seeds, len, &mut self.cover_marks);
         self.num_nodes as f64 * covered as f64 / len as f64
     }
 
-    /// Read-only [`RrCollection::estimate_spread_prefix`] for shared
-    /// (`&self`) access: identical estimate, but the distinct-set marks
-    /// live in a local scratch instead of the collection's reusable one,
-    /// so any number of readers may estimate concurrently under a shared
-    /// lock. The index must already be current
-    /// ([`RrCollection::ensure_index`] under the holder's write lock).
+    /// [`RrCollection::estimate_spread`] restricted to the arena
+    /// **prefix** of the first `num_sets` sets (capped at the current
+    /// length), for shared (`&self`) access.
+    ///
+    /// Because set `j` is a pure function of `(sampler, j)` and the
+    /// arena only ever grows, the estimate over a prefix of a warm
+    /// collection is bit-identical to [`RrCollection::estimate_spread`]
+    /// on a fresh identically-seeded collection grown to exactly
+    /// `num_sets` — the property the resident-server query path (one
+    /// shared arena, many queries of differing sample sizes) relies on.
+    /// The distinct-set marks live in a local scratch instead of the
+    /// collection's reusable one, so any number of readers may estimate
+    /// concurrently under a shared lock. The index must already be
+    /// current ([`RrCollection::ensure_index`] under the holder's write
+    /// lock).
     ///
     /// # Panics
     /// When the index is stale — a shared-arena holder bug: top-up and
@@ -901,12 +883,24 @@ impl RrCollection {
             self.index_is_current(),
             "estimate_spread_prefix_indexed on a stale index"
         );
-        let mut marks = VisitTags::new(len);
+        let covered = self
+            .index
+            .count_covered(seeds, len, &mut VisitTags::new(len));
+        self.num_nodes as f64 * covered as f64 / len as f64
+    }
+}
+
+impl InvertedIndex {
+    /// Distinct sets among the first `len` that contain a node of
+    /// `seeds`, counted against `marks` (fresh or reset, sized `≥ len`).
+    fn count_covered(&self, seeds: &[NodeId], len: usize, marks: &mut VisitTags) -> u64 {
         let limit = len as u32;
         let mut covered = 0u64;
         for &s in seeds {
             let v = s as usize;
-            let ids = &self.index.ids[self.index.start[v]..self.index.start[v + 1]];
+            // Per-node id lists are ascending: only the run below `limit`
+            // belongs to the prefix.
+            let ids = &self.ids[self.start[v]..self.start[v + 1]];
             let in_prefix = ids.partition_point(|&id| id < limit);
             for &rid in &ids[..in_prefix] {
                 if marks.mark(rid as usize) {
@@ -914,7 +908,7 @@ impl RrCollection {
                 }
             }
         }
-        self.num_nodes as f64 * covered as f64 / len as f64
+        covered
     }
 }
 
@@ -1026,25 +1020,26 @@ mod tests {
         let g = path3();
         let mut warm = RrCollection::new(&g, DiffusionModel::IC, 37);
         warm.extend_to(&g, 5_000);
+        warm.ensure_index();
         for prefix in [1usize, 100, 1_000, 5_000] {
             let mut fresh = RrCollection::new(&g, DiffusionModel::IC, 37);
             fresh.extend_to(&g, prefix);
             assert_eq!(
-                warm.estimate_spread_prefix(&[0, 2], prefix),
+                warm.estimate_spread_prefix_indexed(&[0, 2], prefix),
                 fresh.estimate_spread(&[0, 2]),
                 "prefix {prefix}"
             );
         }
         // Full-length and oversized prefixes degrade to estimate_spread.
         assert_eq!(
-            warm.estimate_spread_prefix(&[0], warm.len()),
+            warm.estimate_spread_prefix_indexed(&[0], warm.len()),
             warm.estimate_spread(&[0])
         );
         assert_eq!(
-            warm.estimate_spread_prefix(&[0], usize::MAX),
+            warm.estimate_spread_prefix_indexed(&[0], usize::MAX),
             warm.estimate_spread(&[0])
         );
-        assert_eq!(warm.estimate_spread_prefix(&[0], 0), 0.0);
+        assert_eq!(warm.estimate_spread_prefix_indexed(&[0], 0), 0.0);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! `(1 − 1/e − ε)` quality as IMM even when the agreement test never
 //! fires (tiny graphs, where log factors dominate).
 
-use crate::imm::Bounds;
 use crate::node_selection::node_selection;
+use crate::prima::Bounds;
 use crate::rrset::{DiffusionModel, RrCollection};
 use uic_graph::{Graph, NodeId};
 use uic_util::split_seed;
