@@ -192,22 +192,25 @@ impl<'g> ArcProbs<'g> {
         }
     }
 
-    /// The shared probability, when the **representation** guarantees
-    /// uniformity (`None` for [`ArcProbs::Dense`] even if the stored
-    /// values happen to coincide — callers needing that fall back to a
-    /// scan, which compact representations never pay).
-    #[inline]
-    pub fn uniform_prob(self) -> Option<f32> {
-        match self {
-            ArcProbs::Uniform { p, .. } => Some(p),
-            _ => None,
-        }
-    }
-
     /// Iterates the probabilities in arc order.
     pub fn iter(self) -> impl Iterator<Item = f32> + 'g {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// Asks the CPU to pull the cache line holding `p` into L1. Any address
+/// is allowed, even one past a slice's end: a prefetch never faults and
+/// has no observable effect besides timing. A no-op off x86-64.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` is a cache hint with no memory-safety
+    // preconditions; it never dereferences `p` architecturally.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// Per-section heap usage of a graph, in bytes (see
@@ -558,6 +561,26 @@ impl Graph {
         &self.in_from[self.in_off[v as usize]..self.in_off[v as usize + 1]]
     }
 
+    /// Hints that `v`'s in-list bounds will be read soon: pulls the
+    /// cache line of `in_off[v]` toward the core. Reverse walks call it
+    /// when `v` joins their queue. A hint only; it changes no result.
+    #[inline]
+    pub fn prefetch_in_offsets(&self, v: NodeId) {
+        prefetch(self.in_off.as_ptr().wrapping_add(v as usize));
+    }
+
+    /// Hints that `v`'s in-list will be scanned soon: pulls its first
+    /// two cache lines of sources toward the core. Reads `in_off[v]`,
+    /// so it pays off once [`Self::prefetch_in_offsets`] has brought
+    /// that line in. A hint only; it changes no result.
+    #[inline]
+    pub fn prefetch_in_list(&self, v: NodeId) {
+        let lo = self.in_off[v as usize];
+        let first = self.in_from.as_ptr().wrapping_add(lo);
+        prefetch(first);
+        prefetch(first.wrapping_add(64 / std::mem::size_of::<NodeId>()));
+    }
+
     /// Probability of the `i`-th out-edge of `u` (parallel to
     /// [`Self::out_neighbors`]). Computed from the representation: a per-
     /// edge array read, a reciprocal in-degree, or the shared constant.
@@ -596,8 +619,8 @@ impl Graph {
     }
 
     /// Probability view over `v`'s in-list. Weighted-cascade graphs
-    /// report [`ArcProbs::Uniform`] here — the structural guarantee the
-    /// RR samplers' geometric-jump fast path keys on.
+    /// report [`ArcProbs::Uniform`] here: every in-list is uniform at
+    /// `1/max(d_in(v), 1)`.
     #[inline]
     pub fn in_arc_probs(&self, v: NodeId) -> ArcProbs<'_> {
         let lo = self.in_off[v as usize];
@@ -840,8 +863,11 @@ mod tests {
             assert_eq!(p, expect);
         }
         // In-lists are structurally uniform; out-lists are not.
-        assert_eq!(g.in_arc_probs(2).uniform_prob(), Some(0.5));
-        assert_eq!(g.out_arc_probs(0).uniform_prob(), None);
+        assert!(matches!(
+            g.in_arc_probs(2),
+            ArcProbs::Uniform { p: 0.5, len: 2 }
+        ));
+        assert!(matches!(g.out_arc_probs(0), ArcProbs::RecipInDegree { .. }));
         assert_eq!(g.out_prob(0, 1), 0.5, "edge 0→2 at 1/d_in(2)");
         assert_eq!(g.in_prob(2, 0), 0.5);
     }
@@ -851,8 +877,14 @@ mod tests {
         let g = Graph::try_from_arcs(3, &arcs4(), WeightSpec::Constant(0.25)).unwrap();
         assert_eq!(g.weight_class(), WeightClass::Constant(0.25));
         assert!(g.edges().all(|(_, _, p)| p == 0.25));
-        assert_eq!(g.out_arc_probs(0).uniform_prob(), Some(0.25));
-        assert_eq!(g.in_arc_probs(2).uniform_prob(), Some(0.25));
+        assert!(matches!(
+            g.out_arc_probs(0),
+            ArcProbs::Uniform { p: 0.25, .. }
+        ));
+        assert!(matches!(
+            g.in_arc_probs(2),
+            ArcProbs::Uniform { p: 0.25, .. }
+        ));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! the [`RrSampler`] trait instead of materializing nested vectors.
 
 use crossbeam::thread;
-use uic_graph::{ArcProbs, Graph, NodeId};
+use uic_graph::{Graph, NodeId, WeightClass};
 use uic_util::{parallelism, split_seed, UicRng, VisitTags};
 
 /// Which diffusion model the sampler follows.
@@ -56,7 +56,11 @@ pub enum DiffusionModel {
 /// distribute indices across threads without changing the resulting
 /// collection. Per-thread mutable state (visit tags, queues, cached
 /// possible worlds) lives in the associated `Scratch` type, created once
-/// per worker via [`RrSampler::scratch`].
+/// per worker via [`RrSampler::scratch`] on **every**
+/// [`RrCollection::extend_with`] call. Top-ups of a few hundred sets are
+/// common (warm arenas, PRIMA rounds), so anything the scratch builds up
+/// front is paid per call; tables derivable from the graph structure
+/// should be sized by what the samples read, not by `n`.
 pub trait RrSampler: Sync {
     /// Per-worker scratch state (reset or re-derived per sample as the
     /// sampler requires).
@@ -96,15 +100,47 @@ impl StandardRrSampler {
     }
 }
 
-/// Per-worker scratch of [`StandardRrSampler`]: visit tags plus a
-/// per-node cache of the common in-edge probability (NaN when a node's
-/// in-list is non-uniform) and the precomputed `ln(1 − p)` the
-/// geometric-jump scan divides by.
+/// Per-worker scratch of [`StandardRrSampler`]: visit tags plus the
+/// coin table of the graph's weight class. Its size follows the class,
+/// never the node count alone: O(max in-degree) entries on a
+/// weighted-cascade graph, one on a constant graph, none for LT, and one
+/// per node only for explicit per-edge weights.
 pub struct StandardScratch {
     tags: VisitTags,
-    /// `(p, ln(1 − p))` per node, interleaved so the hot loop pays one
-    /// cache access; `p` is NaN for non-uniform in-lists.
-    uniform: Vec<(f32, f64)>,
+    coins: CoinTable,
+}
+
+/// `(p, ln(1 − p))` of an in-list's shared probability, the pair the
+/// geometric-jump scan reads per visited node, keyed by what the
+/// [`WeightClass`] determines. `p` is NaN where the list is not uniform,
+/// or where `p` lies below f64 resolution (`1 − p` rounds to 1, so a
+/// jump would divide by zero and turn every edge live); per-edge coins
+/// handle those lists exactly.
+enum CoinTable {
+    /// LT draws one threshold per node and reads no coin table.
+    Unused,
+    /// `Constant(c)`: one entry shared by every list.
+    Constant((f32, f64)),
+    /// `InDegree`: entry `d` for in-degree `d`, grown lazily up to the
+    /// largest degree a walk has visited.
+    InDegree(Vec<(f32, f64)>),
+    /// `PerEdge`: one entry per node, from a scan of its in-list (real
+    /// datasets are commonly uniform per node without a structural
+    /// guarantee).
+    PerNode(Vec<(f32, f64)>),
+}
+
+/// The coin-table entry for a list whose edges all have probability `p`
+/// (NaN: not uniform).
+fn coin_entry(mut p: f32) -> (f32, f64) {
+    let mut lg = 0.0f64;
+    if p > 0.0 && p < 1.0 {
+        lg = (1.0 - p as f64).ln();
+        if lg == 0.0 {
+            p = f32::NAN;
+        }
+    }
+    (p, lg)
 }
 
 /// Failures before the next success of a Bernoulli(`p`) run, sampled as
@@ -120,51 +156,102 @@ fn geom_jump(rng: &mut UicRng, lg: f64) -> usize {
     }
 }
 
+/// The IC reverse BFS of [`StandardRrSampler`]. The arena segment of the
+/// set being built is the queue; `coin(v, d_in(v))` yields the
+/// coin-table entry of a visited node with a non-empty in-list.
+///
+/// Where a node's in-edges share one probability (weighted-cascade
+/// graphs, and most real datasets), the scan jumps geometrically to the
+/// next live edge instead of flipping a coin per edge —
+/// distribution-identical to the per-edge scan of [`sample_rr`], and it
+/// skips both the coin and the visit-tag lookup for every dead edge.
+///
+/// Upcoming queue nodes are known in advance, so their in-list reads are
+/// prefetched: the offsets when a node is pushed, the first lines of its
+/// sources two slots before it is scanned. Hints never change control
+/// flow or the RNG stream.
+fn ic_walk(
+    g: &Graph,
+    rng: &mut UicRng,
+    tags: &mut VisitTags,
+    arena: &mut Vec<NodeId>,
+    width: &mut u64,
+    mut coin: impl FnMut(NodeId, usize) -> (f32, f64),
+) {
+    tags.reset();
+    let n = g.num_nodes();
+    if n == 0 {
+        return;
+    }
+    let start = arena.len();
+    let root = rng.next_below(n);
+    tags.mark(root as usize);
+    arena.push(root);
+    let mut head = start;
+    while head < arena.len() {
+        if let Some(&ahead) = arena.get(head + 2) {
+            g.prefetch_in_list(ahead);
+        }
+        let v = arena[head];
+        head += 1;
+        let srcs = g.in_neighbors(v);
+        *width += srcs.len() as u64;
+        if srcs.is_empty() {
+            continue;
+        }
+        let mut push = |u: NodeId| {
+            if tags.mark(u as usize) {
+                g.prefetch_in_offsets(u);
+                arena.push(u);
+            }
+        };
+        let (p, lg) = coin(v, srcs.len());
+        if p.is_nan() {
+            // Non-uniform in-list: per-edge coins (flipped before the
+            // tag lookup, so dead edges never touch the stamp array).
+            let probs = g.in_arc_probs(v);
+            for (i, &u) in srcs.iter().enumerate() {
+                if rng.coin(probs.get(i) as f64) {
+                    push(u);
+                }
+            }
+        } else if p >= 1.0 {
+            for &u in srcs {
+                push(u);
+            }
+        } else if p > 0.0 {
+            let mut i = geom_jump(rng, lg);
+            while i < srcs.len() {
+                push(srcs[i]);
+                i = i.saturating_add(1).saturating_add(geom_jump(rng, lg));
+            }
+        }
+    }
+}
+
 impl RrSampler for StandardRrSampler {
     type Scratch = StandardScratch;
 
     fn scratch(&self, g: &Graph) -> StandardScratch {
         let n = g.num_nodes() as usize;
-        let mut uniform = vec![(0.0f32, 0.0f64); n];
-        if self.model == DiffusionModel::IC {
-            for (v, slot) in uniform.iter_mut().enumerate() {
-                let probs = g.in_arc_probs(v as NodeId);
-                // Branch on the weight representation: compact storage
-                // (weighted-cascade, constant) promises uniform in-lists
-                // structurally, so no scan happens at all; only explicit
-                // per-edge storage falls back to a value scan (real
-                // datasets are commonly uniform per node even without
-                // the structural guarantee).
-                let mut p = if probs.is_empty() {
-                    0.0
-                } else if let Some(p) = probs.uniform_prob() {
-                    p
-                } else if let ArcProbs::Dense(ps) = probs {
-                    if ps.iter().all(|&x| x == ps[0]) {
-                        ps[0]
-                    } else {
-                        f32::NAN
-                    }
-                } else {
-                    f32::NAN
-                };
-                let mut lg = 0.0f64;
-                if p > 0.0 && p < 1.0 {
-                    lg = (1.0 - p as f64).ln();
-                    if lg == 0.0 {
-                        // p below f64 resolution (1 − p rounds to 1):
-                        // a geometric jump would divide by zero and turn
-                        // every edge live. Per-edge coins handle such
-                        // probabilities exactly.
-                        p = f32::NAN;
-                    }
-                }
-                *slot = (p, lg);
-            }
-        }
+        let coins = match (self.model, g.weight_class()) {
+            (DiffusionModel::LT, _) => CoinTable::Unused,
+            (DiffusionModel::IC, WeightClass::Constant(c)) => CoinTable::Constant(coin_entry(c)),
+            (DiffusionModel::IC, WeightClass::InDegree) => CoinTable::InDegree(Vec::new()),
+            (DiffusionModel::IC, WeightClass::PerEdge) => CoinTable::PerNode(
+                (0..g.num_nodes())
+                    .map(|v| {
+                        let probs = g.in_arc_probs(v);
+                        let first = if probs.is_empty() { 0.0 } else { probs.get(0) };
+                        let uniform = probs.iter().all(|x| x == first);
+                        coin_entry(if uniform { first } else { f32::NAN })
+                    })
+                    .collect(),
+            ),
+        };
         StandardScratch {
             tags: VisitTags::new(n),
-            uniform,
+            coins,
         }
     }
 
@@ -177,60 +264,23 @@ impl RrSampler for StandardRrSampler {
         width: &mut u64,
     ) {
         let mut rng = UicRng::new(split_seed(self.seed, index));
-        if self.model == DiffusionModel::LT {
-            sample_rr_into(g, self.model, &mut rng, &mut scratch.tags, arena, width);
-            return;
-        }
-        // IC fast path: where a node's in-edges share one probability
-        // (weighted-cascade graphs, and most real datasets), jump
-        // geometrically to the next live edge instead of flipping a coin
-        // per edge — distribution-identical to the per-edge scan of
-        // [`sample_rr`], and it skips both the coin and the visit-tag
-        // lookup for every dead edge.
-        let StandardScratch { tags, uniform } = scratch;
-        tags.reset();
-        let n = g.num_nodes();
-        if n == 0 {
-            return;
-        }
-        let start = arena.len();
-        let root = rng.next_below(n);
-        tags.mark(root as usize);
-        arena.push(root);
-        let mut head = start;
-        while head < arena.len() {
-            let v = arena[head];
-            head += 1;
-            let srcs = g.in_neighbors(v);
-            *width += srcs.len() as u64;
-            if srcs.is_empty() {
-                continue;
+        let StandardScratch { tags, coins } = scratch;
+        match coins {
+            CoinTable::Unused => sample_rr_into(g, self.model, &mut rng, tags, arena, width),
+            CoinTable::Constant(entry) => {
+                let entry = *entry;
+                ic_walk(g, &mut rng, tags, arena, width, |_, _| entry)
             }
-            let (p, lg) = uniform[v as usize];
-            if p.is_nan() {
-                // Non-uniform in-list: per-edge coins (flipped before the
-                // tag lookup, so dead edges never touch the stamp array).
-                let probs = g.in_arc_probs(v);
-                for (i, &u) in srcs.iter().enumerate() {
-                    if rng.coin(probs.get(i) as f64) && tags.mark(u as usize) {
-                        arena.push(u);
-                    }
+            CoinTable::InDegree(table) => ic_walk(g, &mut rng, tags, arena, width, |_, d| {
+                if d >= table.len() {
+                    // The weighted-cascade probability, exactly as the
+                    // graph derives it: `1 / max(d_in, 1)`.
+                    table.extend((table.len()..=d).map(|d| coin_entry(1.0 / (d.max(1) as f32))));
                 }
-            } else if p >= 1.0 {
-                for &u in srcs {
-                    if tags.mark(u as usize) {
-                        arena.push(u);
-                    }
-                }
-            } else if p > 0.0 {
-                let mut i = geom_jump(&mut rng, lg);
-                while i < srcs.len() {
-                    let u = srcs[i];
-                    if tags.mark(u as usize) {
-                        arena.push(u);
-                    }
-                    i = i.saturating_add(1).saturating_add(geom_jump(&mut rng, lg));
-                }
+                table[d]
+            }),
+            CoinTable::PerNode(table) => {
+                ic_walk(g, &mut rng, tags, arena, width, |v, _| table[v as usize])
             }
         }
     }
@@ -932,6 +982,51 @@ mod tests {
                 assert!(v < 3);
             }
         }
+    }
+
+    /// Entries held by a scratch's coin table.
+    fn coin_entries(s: &StandardScratch) -> usize {
+        match &s.coins {
+            CoinTable::Unused => 0,
+            CoinTable::Constant(_) => 1,
+            CoinTable::InDegree(t) | CoinTable::PerNode(t) => t.len(),
+        }
+    }
+
+    #[test]
+    fn scratch_size_follows_the_weight_class_not_the_node_count() {
+        // 5000 nodes, in-degrees 0..=4 plus one hub of in-degree 40.
+        let n = 5_000u32;
+        let mut arcs: Vec<(NodeId, NodeId)> = (1..=40).map(|u| (u, 0)).collect();
+        for v in 1..n {
+            arcs.extend((1..=v % 5).map(|k| ((v + k * 7) % n, v)));
+        }
+        let max_in = 40;
+        let wc = Graph::try_from_arcs(n, &arcs, uic_graph::WeightSpec::InDegree).unwrap();
+        let sampler = StandardRrSampler::new(DiffusionModel::IC, 3);
+        let mut s = sampler.scratch(&wc);
+        assert_eq!(coin_entries(&s), 0, "the degree table grows lazily");
+        let (mut arena, mut width) = (Vec::new(), 0u64);
+        for j in 0..20_000 {
+            sampler.sample_into(&wc, j, &mut s, &mut arena, &mut width);
+        }
+        let held = coin_entries(&s);
+        assert!(
+            held > 1 && held <= max_in + 1,
+            "weighted cascade holds {held} entries"
+        );
+
+        let constant =
+            Graph::try_from_arcs(n, &arcs, uic_graph::WeightSpec::Constant(0.2)).unwrap();
+        assert_eq!(coin_entries(&sampler.scratch(&constant)), 1);
+
+        let lt = StandardRrSampler::new(DiffusionModel::LT, 3);
+        assert_eq!(coin_entries(&lt.scratch(&wc)), 0);
+
+        let probs = vec![0.1f32; arcs.len()];
+        let per_edge =
+            Graph::try_from_arcs(n, &arcs, uic_graph::WeightSpec::PerEdge(&probs)).unwrap();
+        assert_eq!(coin_entries(&sampler.scratch(&per_edge)), n as usize);
     }
 
     #[test]
