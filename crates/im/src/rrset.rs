@@ -966,6 +966,7 @@ impl InvertedIndex {
 mod tests {
     use super::*;
     use uic_diffusion::exact_spread;
+    use uic_graph::WeightSpec;
 
     fn path3() -> Graph {
         Graph::from_edges(3, &[(0, 1, 0.5), (1, 2, 0.5)])
@@ -1002,7 +1003,7 @@ mod tests {
             arcs.extend((1..=v % 5).map(|k| ((v + k * 7) % n, v)));
         }
         let max_in = 40;
-        let wc = Graph::try_from_arcs(n, &arcs, uic_graph::WeightSpec::InDegree).unwrap();
+        let wc = Graph::try_from_arcs(n, &arcs, WeightSpec::InDegree).unwrap();
         let sampler = StandardRrSampler::new(DiffusionModel::IC, 3);
         let mut s = sampler.scratch(&wc);
         assert_eq!(coin_entries(&s), 0, "the degree table grows lazily");
@@ -1016,16 +1017,14 @@ mod tests {
             "weighted cascade holds {held} entries"
         );
 
-        let constant =
-            Graph::try_from_arcs(n, &arcs, uic_graph::WeightSpec::Constant(0.2)).unwrap();
+        let constant = Graph::try_from_arcs(n, &arcs, WeightSpec::Constant(0.2)).unwrap();
         assert_eq!(coin_entries(&sampler.scratch(&constant)), 1);
 
         let lt = StandardRrSampler::new(DiffusionModel::LT, 3);
         assert_eq!(coin_entries(&lt.scratch(&wc)), 0);
 
         let probs = vec![0.1f32; arcs.len()];
-        let per_edge =
-            Graph::try_from_arcs(n, &arcs, uic_graph::WeightSpec::PerEdge(&probs)).unwrap();
+        let per_edge = Graph::try_from_arcs(n, &arcs, WeightSpec::PerEdge(&probs)).unwrap();
         assert_eq!(coin_entries(&sampler.scratch(&per_edge)), n as usize);
     }
 
