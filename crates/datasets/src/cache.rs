@@ -19,7 +19,7 @@
 
 use crate::networks::NamedNetwork;
 use std::path::{Path, PathBuf};
-use uic_graph::{load_snapshot, snapshot_version, write_snapshot, Graph};
+use uic_graph::{load_snapshot, write_snapshot, Graph};
 
 /// Environment variable that opts experiment runs into the cache; its
 /// value is the cache directory.
@@ -145,29 +145,20 @@ impl SnapshotCache {
 
     /// Loads the entry for `key`, or `None` when absent or unreadable
     /// (corrupt / truncated / foreign-version snapshots are treated as
-    /// misses, never errors).
-    ///
-    /// Entries still in the legacy v1 layout load through the streaming
-    /// fallback and are transparently rewritten in the current aligned
-    /// format, so every later load of the same entry takes the
-    /// zero-copy path. A failed rewrite is non-fatal: the loaded graph
-    /// is returned either way and the old entry keeps working.
+    /// misses, never errors). An entry written in an older format
+    /// version is such a miss: [`SnapshotCache::get_or_build`] rebuilds
+    /// it and replaces it in the current format.
     pub fn load(&self, key: &CacheKey) -> Option<Graph> {
-        let path = self.path_for(key);
-        let g = load_snapshot(&path).ok()?;
-        if snapshot_version(&path).ok() == Some(uic_graph::snapshot::LEGACY_FORMAT_VERSION) {
-            self.store(key, &g).ok();
-        }
-        Some(g)
+        load_snapshot(self.path_for(key)).ok()
     }
 
     /// Stores `g` under `key` via temp-file + atomic rename.
     ///
     /// The temp name carries the pid *and* a process-global counter:
     /// two threads of one process storing the same key concurrently
-    /// (e.g. racing [`SnapshotCache::load`]'s transparent v1→v2
-    /// rewrite) each write their own file, so neither can rename a
-    /// half-written snapshot into place.
+    /// (e.g. racing [`SnapshotCache::get_or_build`] misses on one key)
+    /// each write their own file, so neither can rename a half-written
+    /// snapshot into place.
     pub fn store(&self, key: &CacheKey, g: &Graph) -> std::io::Result<()> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -285,54 +276,49 @@ mod tests {
         let cache = scratch_cache("corrupt");
         let key = CacheKey::new("t/corrupt", 1.0, 3, "as-given");
         let g = uic_graph::Graph::from_edges(3, &[(0, 1, 0.5), (1, 2, 0.25)]);
-        cache.store(&key, &g).unwrap();
-        // Truncate the entry: the next get_or_build must rebuild and
-        // repair rather than error.
         let path = cache.path_for(&key);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(cache.load(&key).is_none(), "corrupt entry must be a miss");
-        let rebuilt = cache.get_or_build(&key, || g.clone());
-        assert_eq!(rebuilt, g);
-        assert_eq!(cache.load(&key).as_ref(), Some(&g), "entry repaired");
+        // A truncated entry, and one whose header claims the retired
+        // format version 1: the next get_or_build must rebuild and
+        // repair either rather than error.
+        let corruptions: [fn(&mut Vec<u8>); 2] = [
+            |bytes| bytes.truncate(bytes.len() / 2),
+            |bytes| bytes[8..12].copy_from_slice(&1u32.to_le_bytes()),
+        ];
+        for corrupt in corruptions {
+            cache.store(&key, &g).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            corrupt(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(cache.load(&key).is_none(), "corrupt entry must be a miss");
+            let mut built = false;
+            let rebuilt = cache.get_or_build(&key, || {
+                built = true;
+                g.clone()
+            });
+            assert!(built, "a miss must run the builder");
+            assert_eq!(rebuilt, g);
+            assert_eq!(cache.load(&key).as_ref(), Some(&g), "entry repaired");
+            assert_eq!(
+                std::fs::read(&path).unwrap()[8..12],
+                2u32.to_le_bytes(),
+                "entry rewritten in the current format"
+            );
+        }
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]
-    fn legacy_entries_are_upgraded_in_place_on_load() {
-        let cache = scratch_cache("upgrade");
-        let key = CacheKey::new("t/upgrade", 1.0, 3, "as-given");
-        let g = uic_graph::Graph::from_edges(4, &[(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.75)]);
-        // Plant a v1-format entry, as a cache populated by an older
-        // build would hold.
-        let path = cache.path_for(&key);
-        let file = std::fs::File::create(&path).unwrap();
-        uic_graph::write_snapshot_v1(&g, file).unwrap();
-        assert_eq!(
-            uic_graph::snapshot_version(&path).unwrap(),
-            uic_graph::snapshot::LEGACY_FORMAT_VERSION
-        );
-        // Loading serves the graph AND rewrites the entry aligned.
-        assert_eq!(cache.load(&key).as_ref(), Some(&g));
-        assert_eq!(
-            uic_graph::snapshot_version(&path).unwrap(),
-            uic_graph::snapshot::FORMAT_VERSION,
-            "entry must be rewritten in the current format"
-        );
-        assert_eq!(cache.load(&key).as_ref(), Some(&g), "upgraded entry loads");
-        std::fs::remove_dir_all(cache.dir()).ok();
-    }
-
-    #[test]
-    fn concurrent_loads_of_a_legacy_entry_upgrade_without_corruption() {
+    fn concurrent_misses_of_one_key_store_without_corruption() {
         // Regression: the temp-file name used to be keyed by pid alone,
-        // so two threads of one process racing the transparent v1→v2
-        // rewrite wrote THE SAME temp file and could rename a
-        // half-written snapshot into place. Hammer the upgrade from
-        // many threads and re-plant the v1 entry between rounds; every
-        // load must serve the exact graph and leave a loadable entry.
-        let cache = scratch_cache("upgrade-race");
-        let key = CacheKey::new("t/upgrade-race", 1.0, 3, "as-given");
+        // so two threads of one process storing the same key wrote THE
+        // SAME temp file and could rename a half-written snapshot into
+        // place. Hammer get_or_build from four threads on a key that is
+        // missing (even rounds) or holds an old-version entry (odd
+        // rounds); every call must serve the exact graph, every load
+        // after it must hit, and the round must leave a loadable entry
+        // in the current format.
+        let cache = scratch_cache("miss-race");
+        let key = CacheKey::new("t/miss-race", 1.0, 3, "as-given");
         let g = uic_graph::Graph::from_edges(
             6,
             &[
@@ -343,24 +329,38 @@ mod tests {
                 (4, 5, 0.5),
             ],
         );
-        let plant_v1 = |path: &std::path::Path| {
-            let file = std::fs::File::create(path).unwrap();
-            uic_graph::write_snapshot_v1(&g, file).unwrap();
-        };
-        for round in 0..8 {
-            plant_v1(&cache.path_for(&key));
+        let path = cache.path_for(&key);
+        for round in 0..16 {
+            if round % 2 == 0 {
+                std::fs::remove_file(&path).ok();
+            } else {
+                cache.store(&key, &g).unwrap();
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+            }
+            // All four threads miss together, so their stores overlap.
+            let start = std::sync::Barrier::new(4);
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     s.spawn(|| {
-                        let loaded = cache.load(&key);
-                        assert_eq!(loaded.as_ref(), Some(&g), "round {round}");
+                        start.wait();
+                        let got = cache.get_or_build(&key, || g.clone());
+                        assert_eq!(got, g, "round {round}");
+                        // Once any store has landed, the entry stays
+                        // whole: later stores only rename whole files
+                        // over it.
+                        for i in 0..20 {
+                            let loaded = cache.load(&key);
+                            assert_eq!(loaded.as_ref(), Some(&g), "round {round}, read {i}");
+                        }
                     });
                 }
             });
             assert_eq!(
-                uic_graph::snapshot_version(cache.path_for(&key)).unwrap(),
-                uic_graph::snapshot::FORMAT_VERSION,
-                "round {round}: entry must end upgraded"
+                std::fs::read(&path).unwrap()[8..12],
+                2u32.to_le_bytes(),
+                "round {round}: entry must end in the current format"
             );
             assert_eq!(cache.load(&key).as_ref(), Some(&g), "round {round}");
         }
@@ -372,36 +372,25 @@ mod tests {
 
     #[test]
     fn readers_racing_the_rewrite_always_see_a_whole_snapshot() {
-        // Regression companion to the upgrade-race test above: here the
-        // readers never write — they hammer `load` while one writer
-        // thread keeps flipping the entry between the legacy v1 layout
-        // and the aligned rewrite. Atomic rename means a reader either
-        // opens the old file or the new one, so every load must be a
-        // hit serving the exact graph — a miss or a different graph
-        // would mean a reader observed a half-replaced entry.
+        // Companion to the miss-race test above: here the readers never
+        // write — they hammer `load` while one writer thread keeps
+        // replacing the entry through `store`. Atomic rename means a
+        // reader either opens the old file or the new one, so every load
+        // must be a hit serving the exact graph — a miss or a different
+        // graph would mean a reader observed a half-written entry.
         let cache = scratch_cache("reader-race");
         let key = CacheKey::new("t/reader-race", 1.0, 3, "as-given");
         let g = uic_graph::Graph::from_edges(
             5,
             &[(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.75), (3, 4, 0.5)],
         );
-        // Plant the legacy layout the way an older build would have
-        // written it: temp file + atomic rename, never in place.
-        let plant_v1 = || {
-            let tmp = cache.dir().join(".reader-race.v1.tmp");
-            let file = std::fs::File::create(&tmp).unwrap();
-            uic_graph::write_snapshot_v1(&g, file).unwrap();
-            std::fs::rename(&tmp, cache.path_for(&key)).unwrap();
-        };
-        plant_v1();
+        cache.store(&key, &g).unwrap();
         std::thread::scope(|s| {
             let writer = s.spawn(|| {
-                for _ in 0..20 {
+                for _ in 0..40 {
                     cache.store(&key, &g).unwrap();
-                    plant_v1();
                     std::thread::yield_now();
                 }
-                cache.store(&key, &g).unwrap();
             });
             for _ in 0..3 {
                 s.spawn(|| {
@@ -413,10 +402,7 @@ mod tests {
             }
             writer.join().unwrap();
         });
-        assert_eq!(
-            uic_graph::snapshot_version(cache.path_for(&key)).unwrap(),
-            uic_graph::snapshot::FORMAT_VERSION
-        );
+        assert_eq!(cache.load(&key).as_ref(), Some(&g));
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

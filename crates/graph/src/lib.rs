@@ -23,9 +23,10 @@
 //!   schemes (weighted cascade `1/d_in(v)`, constant, trivalency, uniform).
 //! * [`snapshot`] — the versioned binary snapshot format (magic, version,
 //!   checksum, bulk little-endian CSR sections) with typed load errors.
-//!   Format v2 pads sections to alignment boundaries so files load
+//!   Sections are padded to alignment boundaries so files load
 //!   **zero-copy**: checksum-verify, then pointer-cast section views
-//!   over one mapped (or owned, aligned) buffer.
+//!   over one mapped (or owned, aligned) buffer. Any other format
+//!   version is rejected as unsupported.
 //! * [`storage`] — [`SectionStorage`], the owned-or-borrowed section
 //!   representation behind every CSR array.
 //! * [`traversal`] — BFS/DFS reachability, weakly connected components,
@@ -52,7 +53,7 @@ pub use graph::{
 };
 pub use snapshot::{
     load_snapshot, load_snapshot_owned, read_snapshot, read_snapshot_bytes, save_snapshot,
-    snapshot_version, write_snapshot, write_snapshot_v1, SnapshotError,
+    write_snapshot, SnapshotError,
 };
 pub use stats::GraphStats;
 pub use storage::{SectionElem, SectionStorage};

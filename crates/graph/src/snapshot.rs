@@ -6,7 +6,7 @@
 //! loader needs to reject foreign, corrupt, or future files without
 //! panicking.
 //!
-//! ## Byte layout (version 2, current)
+//! ## Byte layout (version 2)
 //!
 //! All integers are **little-endian**; offsets are stored as `u64`
 //! regardless of the host's `usize`. Every section is zero-padded to a
@@ -40,19 +40,13 @@
 //!               in_p     m × f32         only when tag = 0, else empty
 //! ```
 //!
-//! Version 1 (legacy) differs in three ways: sections are back to back
-//! (no padding, no offset table, payload starts at byte 96) and the
-//! checksum is a 2-lane fold. [`load_snapshot`] still reads v1 files
-//! through the original streaming decoder — the fallback for
-//! old-version/unaligned files — and [`crate::snapshot::write_snapshot_v1`]
-//! keeps the writer around for compatibility tests and cache-upgrade
-//! coverage.
-//!
 //! ## Versioning policy
 //!
-//! The version is bumped whenever the header or section layout changes;
-//! readers reject any version they do not know
-//! ([`SnapshotError::UnsupportedVersion`]) rather than guessing. The
+//! The version is bumped whenever the header or section layout changes.
+//! This reader knows exactly one version and rejects every other one,
+//! older ones included, with [`SnapshotError::UnsupportedVersion`]
+//! rather than guessing. Snapshots are regenerable cache entries, so
+//! the dataset cache treats such a file as a miss and rebuilds it. The
 //! checksum covers everything after itself (padding included), so a
 //! single flipped bit anywhere in the file surfaces as a typed error
 //! ([`SnapshotError::ChecksumMismatch`]) instead of a corrupt graph.
@@ -68,17 +62,14 @@
 
 use crate::graph::{EdgeWeights, Graph};
 use crate::storage::{SectionStorage, SnapshotBuf};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Magic bytes opening every snapshot file (shared by all versions).
+/// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"UICGSNP1";
-/// Current format version.
+/// The one format version this module reads and writes.
 pub const FORMAT_VERSION: u32 = 2;
-/// The legacy unpadded format still accepted (and written by
-/// [`write_snapshot_v1`]) for fallback coverage.
-pub const LEGACY_FORMAT_VERSION: u32 = 1;
 
 const TAG_PER_EDGE: u32 = 0;
 const TAG_IN_DEGREE: u32 = 1;
@@ -120,8 +111,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (reader knows versions \
-                     {LEGACY_FORMAT_VERSION}-{FORMAT_VERSION})"
+                    "unsupported snapshot version {v} (reader knows version {FORMAT_VERSION})"
                 )
             }
             SnapshotError::Truncated { expected, got } => {
@@ -148,78 +138,21 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 /// The integrity (not cryptographic) checksum of the format: a 64-bit
-/// multiply-xor word fold (FxHash-style) over two independent lanes.
-/// Processing 16 bytes per round keeps checksumming a ~140 MB snapshot
-/// in the low tens of milliseconds — byte-at-a-time FNV costs more than
-/// the entire rest of the load — while the odd-multiplier bijections
-/// still propagate every single-bit flip into the final value.
+/// multiply-xor word fold (FxHash-style) over **four** independent
+/// lanes consuming 32 bytes per round. The odd-multiplier bijections
+/// propagate every single-bit flip into the final value, and four lanes
+/// keep the serial multiply chains from capping throughput, which
+/// matters because the zero-copy load's wall-clock *is* essentially
+/// this hash (there is no decode left to hide it behind).
 ///
-/// `update` boundaries are part of the definition: writer and reader
-/// must feed identical byte runs (here: the header tail, then each
-/// section), since short tails are zero-padded and length-tagged per
-/// run.
+/// Run boundaries are part of the definition: writer and reader feed
+/// the header tail, then each **padded** section as one run. Padded
+/// runs are multiples of 16 bytes, so at most one 16-byte remainder
+/// reaches `fold_tail` per run.
 #[derive(Clone, Copy)]
-struct SnapshotHash(u64, u64);
+struct SnapshotHash([u64; 4]);
 
 impl SnapshotHash {
-    const MUL1: u64 = 0x517c_c1b7_2722_0a95;
-    const MUL2: u64 = 0x2545_f491_4f6c_dd1d;
-
-    fn new() -> Self {
-        SnapshotHash(0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f)
-    }
-
-    /// Folds one aligned 16-byte round into the two lanes. Both
-    /// multipliers are odd (bijective), so any flipped bit survives
-    /// into [`SnapshotHash::finish`].
-    #[inline]
-    fn fold16(&mut self, c: &[u8; 16]) {
-        let w1 = u64::from_le_bytes(c[0..8].try_into().expect("chunk of 8"));
-        let w2 = u64::from_le_bytes(c[8..16].try_into().expect("chunk of 8"));
-        self.0 = (self.0.rotate_left(5) ^ w1).wrapping_mul(Self::MUL1);
-        self.1 = (self.1.rotate_left(7) ^ w2).wrapping_mul(Self::MUL2);
-    }
-
-    /// Folds a short (< 16 byte) run tail: zero-padded plus a length
-    /// tag, so the padding cannot collide with real zeros.
-    #[inline]
-    fn fold_tail(&mut self, rem: &[u8]) {
-        if rem.is_empty() {
-            return;
-        }
-        let mut tail = [0u8; 16];
-        tail[..rem.len()].copy_from_slice(rem);
-        self.fold16(&tail);
-        self.0 = self.0.wrapping_add(rem.len() as u64);
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(16);
-        for c in &mut words {
-            self.fold16(c.try_into().expect("chunk of 16"));
-        }
-        self.fold_tail(words.remainder());
-    }
-
-    fn finish(self) -> u64 {
-        self.0 ^ self.1.rotate_left(32)
-    }
-}
-
-/// The format-v2 checksum: the same multiply-xor word-fold idea as
-/// [`SnapshotHash`], widened to **four** independent lanes consuming 32
-/// bytes per round. The 2-lane fold's serial multiply chains cap it
-/// near 3 bytes/cycle; four lanes double the instruction-level
-/// parallelism, which matters because the zero-copy load's wall-clock
-/// *is* essentially this hash (there is no decode left to hide it
-/// behind). Run boundaries are part of the definition exactly as in v1:
-/// writer and reader feed the header tail, then each **padded** section
-/// as one run — padded runs are multiples of 16 bytes, so at most one
-/// 16-byte remainder reaches `fold_tail` per run.
-#[derive(Clone, Copy)]
-struct SnapshotHashV2([u64; 4]);
-
-impl SnapshotHashV2 {
     const MULS: [u64; 4] = [
         0x517c_c1b7_2722_0a95,
         0x2545_f491_4f6c_dd1d,
@@ -228,7 +161,7 @@ impl SnapshotHashV2 {
     ];
 
     fn new() -> Self {
-        SnapshotHashV2([
+        SnapshotHash([
             0x9e37_79b9_7f4a_7c15,
             0xc2b2_ae3d_27d4_eb4f,
             0x6a09_e667_f3bc_c909,
@@ -238,7 +171,7 @@ impl SnapshotHashV2 {
 
     /// Folds one 32-byte round, one word per lane. All multipliers are
     /// odd (bijective), so any flipped bit survives into
-    /// [`SnapshotHashV2::finish`].
+    /// [`SnapshotHash::finish`].
     #[inline]
     fn fold32(&mut self, c: &[u8; 32]) {
         const ROTS: [u32; 4] = [5, 7, 11, 13];
@@ -276,161 +209,48 @@ impl SnapshotHashV2 {
     }
 }
 
-/// Rounds a section length up to the 16-byte padding boundary of
-/// format v2.
+/// Rounds a section length up to the 16-byte padding boundary.
 #[inline]
 fn pad16(len: u64) -> u64 {
     len.div_ceil(16) * 16
 }
 
-/// Fused checksum + decode + validation-aggregate decoders: one
-/// traversal feeds the hash lanes, the output array, and the running
-/// aggregate the structural validation needs (max id, monotonicity,
-/// unit-range) — the load path is memory-bandwidth-bound, so every
-/// avoided re-traversal is wall-clock. Hashing is byte-identical to
-/// [`SnapshotHash::update`] over the same section: `feed` accepts any
-/// chunking as long as non-final chunks are multiples of 16 bytes.
-struct U32Decoder {
-    out: Vec<u32>,
-    max: u32,
+/// Section byte lengths, unpadded, as fully determined by `(n, m, tag)`.
+fn section_lens(n: u64, m: u64, tag: u32) -> [u64; NUM_SECTIONS] {
+    let (off_len, ids_len) = ((n + 1) * 8, m * 4);
+    let weights_len = if tag == TAG_PER_EDGE { ids_len } else { 0 };
+    [
+        off_len,
+        ids_len,
+        off_len,
+        ids_len,
+        ids_len,
+        weights_len,
+        weights_len,
+    ]
 }
 
-impl U32Decoder {
-    fn new(section_len: u64) -> U32Decoder {
-        U32Decoder {
-            out: Vec::with_capacity((section_len / 4) as usize),
-            max: 0,
-        }
+/// The canonical padded layout of sections with lengths `lens`: each
+/// section's byte offset relative to the payload start, and the total
+/// padded payload length.
+fn padded_offsets(lens: &[u64; NUM_SECTIONS]) -> ([u64; NUM_SECTIONS], u64) {
+    let mut offs = [0u64; NUM_SECTIONS];
+    let mut at = 0u64;
+    for (o, &len) in offs.iter_mut().zip(lens) {
+        *o = at;
+        at += pad16(len);
     }
-
-    fn feed(&mut self, h: &mut SnapshotHash, bytes: &[u8], last: bool) {
-        let mut chunks = bytes.chunks_exact(16);
-        for c in &mut chunks {
-            h.fold16(c.try_into().expect("chunk of 16"));
-            for e in c.chunks_exact(4) {
-                let x = u32::from_le_bytes(e.try_into().expect("chunk of 4"));
-                self.max = self.max.max(x);
-                self.out.push(x);
-            }
-        }
-        let rem = chunks.remainder();
-        debug_assert!(
-            last || rem.is_empty(),
-            "non-final chunks must be 16-aligned"
-        );
-        if last {
-            h.fold_tail(rem);
-            for e in rem.chunks_exact(4) {
-                let x = u32::from_le_bytes(e.try_into().expect("chunk of 4"));
-                self.max = self.max.max(x);
-                self.out.push(x);
-            }
-        }
-    }
+    (offs, at)
 }
 
-/// `f32` sections: also tracks whether every value lies in `[0, 1]`
-/// (NaN fails both comparisons, so it registers as invalid).
-struct F32Decoder {
-    out: Vec<f32>,
-    in_unit: bool,
-}
-
-impl F32Decoder {
-    fn new(section_len: u64) -> F32Decoder {
-        F32Decoder {
-            out: Vec::with_capacity((section_len / 4) as usize),
-            in_unit: true,
-        }
-    }
-
-    fn feed(&mut self, h: &mut SnapshotHash, bytes: &[u8], last: bool) {
-        let mut chunks = bytes.chunks_exact(16);
-        for c in &mut chunks {
-            h.fold16(c.try_into().expect("chunk of 16"));
-            for e in c.chunks_exact(4) {
-                let x = f32::from_le_bytes(e.try_into().expect("chunk of 4"));
-                self.in_unit &= (0.0..=1.0).contains(&x);
-                self.out.push(x);
-            }
-        }
-        let rem = chunks.remainder();
-        debug_assert!(
-            last || rem.is_empty(),
-            "non-final chunks must be 16-aligned"
-        );
-        if last {
-            h.fold_tail(rem);
-            for e in rem.chunks_exact(4) {
-                let x = f32::from_le_bytes(e.try_into().expect("chunk of 4"));
-                self.in_unit &= (0.0..=1.0).contains(&x);
-                self.out.push(x);
-            }
-        }
-    }
-}
-
-/// `u64`-offset sections: also tracks monotonic non-decrease (the CSR
-/// offsets invariant) and, on 32-bit hosts, `usize` overflow.
-struct OffsetDecoder {
-    out: Vec<usize>,
-    monotonic: bool,
-    prev: usize,
-    overflow: bool,
-}
-
-impl OffsetDecoder {
-    fn new(section_len: u64) -> OffsetDecoder {
-        OffsetDecoder {
-            out: Vec::with_capacity((section_len / 8) as usize),
-            monotonic: true,
-            prev: 0,
-            overflow: false,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, x: u64) {
-        match usize::try_from(x) {
-            Ok(x) => {
-                self.monotonic &= x >= self.prev;
-                self.prev = x;
-                self.out.push(x);
-            }
-            Err(_) => self.overflow = true,
-        }
-    }
-
-    fn feed(&mut self, h: &mut SnapshotHash, bytes: &[u8], last: bool) {
-        let mut chunks = bytes.chunks_exact(16);
-        for c in &mut chunks {
-            h.fold16(c.try_into().expect("chunk of 16"));
-            for e in c.chunks_exact(8) {
-                self.push(u64::from_le_bytes(e.try_into().expect("chunk of 8")));
-            }
-        }
-        let rem = chunks.remainder();
-        debug_assert!(
-            last || rem.is_empty(),
-            "non-final chunks must be 16-aligned"
-        );
-        if last {
-            h.fold_tail(rem);
-            for e in rem.chunks_exact(8) {
-                self.push(u64::from_le_bytes(e.try_into().expect("chunk of 8")));
-            }
-        }
-    }
-}
-
-/// Streaming little-endian section encoders, mirror images of the
-/// decoders above: each converts its source array through a fixed
-/// buffer and hands every filled chunk to `sink` with a final-chunk
-/// flag. Non-final chunks are multiples of 16 bytes (the buffer length
-/// is), so a hash sink built on `fold16`/`fold_tail` computes exactly
-/// [`SnapshotHash::update`] of the whole section — and a write sink
-/// streams the same bytes to disk with O(buffer) extra memory instead
-/// of materializing hundreds of megabytes of section copies.
+/// Streaming little-endian section encoders: each converts its source
+/// array through a fixed buffer and hands every filled chunk to `sink`
+/// with a final-chunk flag. Non-final chunks are multiples of the
+/// 32-byte hash round (the buffer length is), so a hash sink built on
+/// `fold32` sees the same rounds as [`SnapshotHash::update`] of the
+/// whole section — and a write sink streams the same bytes to disk
+/// with O(buffer) extra memory instead of materializing hundreds of
+/// megabytes of section copies.
 type EmitSink<'a> = dyn FnMut(&[u8], bool) -> std::io::Result<()> + 'a;
 
 fn emit_u32s(xs: &[u32], buf: &mut [u8], sink: &mut EmitSink<'_>) -> std::io::Result<()> {
@@ -491,83 +311,16 @@ fn emit_sections(g: &Graph, buf: &mut [u8], sink: &mut EmitSink<'_>) -> std::io:
     emit_f32s(in_p, buf, sink)
 }
 
-/// Writes `g` as a **legacy version-1** snapshot (unpadded sections,
-/// 2-lane checksum). Kept so the v1 fallback reader and the cache's
-/// old-entry upgrade path stay testable against real v1 bytes; new
-/// files should use [`write_snapshot`].
-///
-/// Two streaming passes over the CSR arrays through one fixed 256 KB
-/// buffer: the first computes the header checksum, the second writes
-/// the identical bytes — O(buffer) extra memory even for
-/// hundred-megabyte graphs (the checksum sits in the header, before
-/// the sections, and `W` is not seekable, so it must be known before
-/// the first section byte is written).
-pub fn write_snapshot_v1<W: Write>(g: &Graph, w: W) -> std::io::Result<()> {
-    let (_, _, _, _, _, weights) = g.raw_csr();
-    let (tag, constant): (u32, f32) = match weights {
-        EdgeWeights::PerEdge { .. } => (TAG_PER_EDGE, 0.0),
-        EdgeWeights::InDegree => (TAG_IN_DEGREE, 0.0),
-        EdgeWeights::Constant(c) => (TAG_CONSTANT, *c),
-    };
-    let n = g.num_nodes() as u64;
-    let m = g.num_edges() as u64;
-    let (off_len, ids_len) = ((n + 1) * 8, m * 4);
-    let weights_len = if tag == TAG_PER_EDGE { m * 4 } else { 0 };
-    let lens = [
-        off_len,
-        ids_len,
-        off_len,
-        ids_len,
-        ids_len,
-        weights_len,
-        weights_len,
-    ];
-
-    // Checksum covers everything after the checksum field itself.
-    let mut tail = Vec::with_capacity(TAIL_LEN);
-    tail.extend_from_slice(&tag.to_le_bytes());
-    tail.extend_from_slice(&constant.to_le_bytes());
-    tail.extend_from_slice(&g.num_nodes().to_le_bytes());
-    tail.extend_from_slice(&m.to_le_bytes());
-    for len in lens {
-        tail.extend_from_slice(&len.to_le_bytes());
-    }
-    let mut buf = vec![0u8; 1 << 18];
-    let mut hash = SnapshotHash::new();
-    hash.update(&tail);
-    emit_sections(g, &mut buf, &mut |bytes, last| {
-        let mut chunks = bytes.chunks_exact(16);
-        for c in &mut chunks {
-            hash.fold16(c.try_into().expect("chunk of 16"));
-        }
-        let rem = chunks.remainder();
-        debug_assert!(
-            last || rem.is_empty(),
-            "non-final chunks must be 16-aligned"
-        );
-        if last {
-            hash.fold_tail(rem);
-        }
-        Ok(())
-    })?;
-
-    let mut w = BufWriter::new(w);
-    w.write_all(&MAGIC)?;
-    w.write_all(&LEGACY_FORMAT_VERSION.to_le_bytes())?;
-    w.write_all(&hash.finish().to_le_bytes())?;
-    w.write_all(&tail)?;
-    emit_sections(g, &mut buf, &mut |bytes, _| w.write_all(bytes))?;
-    w.flush()
-}
-
-/// Writes `g` as a version-2 snapshot: sections padded to 16-byte
-/// boundaries, section offsets recorded in the header — the layout
+/// Writes `g` as a snapshot: sections padded to 16-byte boundaries,
+/// section offsets recorded in the header — the layout
 /// [`load_snapshot`] maps and pointer-casts without any decode.
 ///
-/// Same two-streaming-pass structure as the v1 writer (checksum first,
-/// then bytes; the checksum precedes the sections and `W` is not
-/// seekable), with each padded section checksummed as one run of the
-/// 4-lane `SnapshotHashV2`.
+/// Two streaming passes over the CSR arrays through one fixed 256 KB
+/// buffer: the first computes the checksum, the second writes the
+/// bytes. The checksum precedes the sections in the header and `W` is
+/// not seekable, so it must be known before the first section byte is
+/// written; streaming keeps the extra memory at O(buffer) even for
+/// hundred-megabyte graphs.
 pub fn write_snapshot<W: Write>(g: &Graph, w: W) -> std::io::Result<()> {
     let (_, _, _, _, _, weights) = g.raw_csr();
     let (tag, constant): (u32, f32) = match weights {
@@ -575,25 +328,9 @@ pub fn write_snapshot<W: Write>(g: &Graph, w: W) -> std::io::Result<()> {
         EdgeWeights::InDegree => (TAG_IN_DEGREE, 0.0),
         EdgeWeights::Constant(c) => (TAG_CONSTANT, *c),
     };
-    let n = g.num_nodes() as u64;
     let m = g.num_edges() as u64;
-    let (off_len, ids_len) = ((n + 1) * 8, m * 4);
-    let weights_len = if tag == TAG_PER_EDGE { m * 4 } else { 0 };
-    let lens = [
-        off_len,
-        ids_len,
-        off_len,
-        ids_len,
-        ids_len,
-        weights_len,
-        weights_len,
-    ];
-    let mut offs = [0u64; NUM_SECTIONS];
-    let mut at = 0u64;
-    for (o, &len) in offs.iter_mut().zip(&lens) {
-        *o = at;
-        at += pad16(len);
-    }
+    let lens = section_lens(g.num_nodes() as u64, m, tag);
+    let (offs, _) = padded_offsets(&lens);
 
     // Checksum covers everything after the checksum field itself,
     // padding included.
@@ -616,7 +353,7 @@ pub fn write_snapshot<W: Write>(g: &Graph, w: W) -> std::io::Result<()> {
     // *padded to the 16-byte boundary*, exactly as the reader hashes
     // the padded run.
     let mut buf = vec![0u8; 1 << 18];
-    let mut hash = SnapshotHashV2::new();
+    let mut hash = SnapshotHash::new();
     hash.update(&tail);
     emit_sections(g, &mut buf, &mut |bytes, last| {
         let mut chunks = bytes.chunks_exact(32);
@@ -660,117 +397,17 @@ pub fn write_snapshot<W: Write>(g: &Graph, w: W) -> std::io::Result<()> {
     w.flush()
 }
 
-/// The header fields of a snapshot, parsed and cross-validated
-/// (magic, version, weight tag, section lengths against `(n, m, tag)`).
-struct Header {
-    stored_checksum: u64,
-    tag: u32,
-    constant: f32,
-    n: u32,
-    m: u64,
-    lens: [u64; NUM_SECTIONS],
-    total: u64,
-}
-
-const TAIL_LEN: usize = 4 + 4 + 4 + 8 + NUM_SECTIONS * 8;
-const HEADER_LEN: usize = 8 + 4 + 8 + TAIL_LEN;
-
-/// Parses and validates the fixed-size header prefix. `bytes` may be
-/// shorter than a full header (truncated file) — that reports
-/// [`SnapshotError::Truncated`], after the magic and (when its bytes
-/// are present) the version have been checked.
-fn parse_header(bytes: &[u8]) -> Result<Header, SnapshotError> {
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated {
-            expected: HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() >= 12 {
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("fixed slice"));
-        if version != LEGACY_FORMAT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated {
-            expected: HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    let stored_checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("fixed slice"));
-    let tail = &bytes[20..HEADER_LEN];
-    let tag = u32::from_le_bytes(tail[0..4].try_into().expect("fixed slice"));
-    let constant = f32::from_le_bytes(tail[4..8].try_into().expect("fixed slice"));
-    let n = u32::from_le_bytes(tail[8..12].try_into().expect("fixed slice"));
-    let m = u64::from_le_bytes(tail[12..20].try_into().expect("fixed slice"));
-    let mut lens = [0u64; NUM_SECTIONS];
-    for (i, l) in lens.iter_mut().enumerate() {
-        let at = 20 + i * 8;
-        *l = u64::from_le_bytes(tail[at..at + 8].try_into().expect("fixed slice"));
-    }
-
-    // Edge ids are u32 by construction (try_from_arcs rejects larger
-    // inputs), so any m beyond that is corrupt — and rejecting it here
-    // also keeps the `m * 4` length arithmetic below from wrapping.
-    if m >= u32::MAX as u64 {
-        return Err(SnapshotError::Malformed(format!(
-            "edge count {m} must fit in u32 ids"
-        )));
-    }
-    // Lengths are fully determined by (n, m, tag); enforce before
-    // interpreting anything, so corrupt counts can never drive an
-    // absurd allocation.
-    let off_len = (n as u64 + 1) * 8;
-    let ids_len = m * 4;
-    let weights_len = if tag == TAG_PER_EDGE { m * 4 } else { 0 };
-    let expect = [
-        off_len,
-        ids_len,
-        off_len,
-        ids_len,
-        ids_len,
-        weights_len,
-        weights_len,
-    ];
-    if tag > TAG_CONSTANT {
-        return Err(SnapshotError::Malformed(format!(
-            "unknown weight representation tag {tag}"
-        )));
-    }
-    if lens != expect {
-        return Err(SnapshotError::Malformed(format!(
-            "section lengths {lens:?} do not match n={n}, m={m}, tag={tag}"
-        )));
-    }
-    if tag != TAG_CONSTANT && constant != 0.0 {
-        return Err(SnapshotError::Malformed(
-            "constant probability set on a non-constant representation".to_string(),
-        ));
-    }
-    Ok(Header {
-        stored_checksum,
-        tag,
-        constant,
-        n,
-        m,
-        lens,
-        total: lens.iter().sum(),
-    })
-}
-
+/// Header sizes of format version 2: the checksummed tail after the
+/// checksum field, and the whole header (the payload starts here).
 const TAIL_LEN_V2: usize = 4 + 4 + 4 + 8 + 2 * NUM_SECTIONS * 8;
 const HEADER_LEN_V2: usize = 8 + 4 + 8 + TAIL_LEN_V2;
 
-/// The header fields of a version-2 snapshot, parsed and
-/// cross-validated: magic, version, weight tag, section lengths against
-/// `(n, m, tag)`, and the offset table against the canonical padded
-/// layout — so a corrupt or hand-misaligned offset table is a typed
-/// [`SnapshotError::Malformed`] long before any pointer cast.
-struct HeaderV2 {
+/// The header fields of a snapshot, parsed and cross-validated: magic,
+/// version, weight tag, section lengths against `(n, m, tag)`, and the
+/// offset table against the canonical padded layout — so a corrupt or
+/// hand-misaligned offset table is a typed [`SnapshotError::Malformed`]
+/// long before any pointer cast.
+struct Header {
     stored_checksum: u64,
     tag: u32,
     constant: f32,
@@ -782,7 +419,12 @@ struct HeaderV2 {
     total_padded: u64,
 }
 
-fn parse_header_v2(bytes: &[u8]) -> Result<HeaderV2, SnapshotError> {
+/// Parses and validates the fixed-size header prefix — the one place
+/// that checks magic, version and header truncation. `bytes` may be
+/// shorter than a full header (truncated file): that reports
+/// [`SnapshotError::Truncated`], after the magic and (when its bytes
+/// are present) the version have been checked.
+fn parse_header(bytes: &[u8]) -> Result<Header, SnapshotError> {
     if bytes.len() < 8 {
         return Err(SnapshotError::Truncated {
             expected: HEADER_LEN_V2 as u64,
@@ -821,31 +463,23 @@ fn parse_header_v2(bytes: &[u8]) -> Result<HeaderV2, SnapshotError> {
         *o = u64::from_le_bytes(tail[at..at + 8].try_into().expect("fixed slice"));
     }
 
-    // Same pre-interpretation gates as v1: id-width, tag, and the
-    // (n, m, tag)-determined lengths.
+    // Edge ids are u32 by construction (try_from_arcs rejects larger
+    // inputs), so any m beyond that is corrupt — and rejecting it here
+    // also keeps the `m * 4` length arithmetic from wrapping.
     if m >= u32::MAX as u64 {
         return Err(SnapshotError::Malformed(format!(
             "edge count {m} must fit in u32 ids"
         )));
     }
-    let off_len = (n as u64 + 1) * 8;
-    let ids_len = m * 4;
-    let weights_len = if tag == TAG_PER_EDGE { m * 4 } else { 0 };
-    let expect = [
-        off_len,
-        ids_len,
-        off_len,
-        ids_len,
-        ids_len,
-        weights_len,
-        weights_len,
-    ];
     if tag > TAG_CONSTANT {
         return Err(SnapshotError::Malformed(format!(
             "unknown weight representation tag {tag}"
         )));
     }
-    if lens != expect {
+    // Lengths are fully determined by (n, m, tag); enforce before
+    // interpreting anything, so corrupt counts can never drive an
+    // absurd allocation.
+    if lens != section_lens(n as u64, m, tag) {
         return Err(SnapshotError::Malformed(format!(
             "section lengths {lens:?} do not match n={n}, m={m}, tag={tag}"
         )));
@@ -858,16 +492,14 @@ fn parse_header_v2(bytes: &[u8]) -> Result<HeaderV2, SnapshotError> {
     // The offset table must be exactly the canonical padded layout —
     // anything else (including an unaligned offset) can never reach the
     // section views.
-    let mut at = 0u64;
-    for (i, (&off, &len)) in offs.iter().zip(&lens).enumerate() {
-        if off != at {
-            return Err(SnapshotError::Malformed(format!(
-                "section {i} offset {off} breaks the padded layout (expected {at})"
-            )));
-        }
-        at += pad16(len);
+    let (expect, total_padded) = padded_offsets(&lens);
+    if let Some(i) = (0..NUM_SECTIONS).find(|&i| offs[i] != expect[i]) {
+        return Err(SnapshotError::Malformed(format!(
+            "section {i} offset {} breaks the padded layout (expected {})",
+            offs[i], expect[i]
+        )));
     }
-    Ok(HeaderV2 {
+    Ok(Header {
         stored_checksum,
         tag,
         constant,
@@ -875,13 +507,13 @@ fn parse_header_v2(bytes: &[u8]) -> Result<HeaderV2, SnapshotError> {
         m,
         lens,
         offs,
-        total_padded: at,
+        total_padded,
     })
 }
 
 /// Running structural aggregates of one section kind, fed incrementally
 /// (any chunking whose boundaries land on element boundaries) by the
-/// fused v2 verify pass. Alignment-agnostic: elements are decoded with
+/// fused verify pass. Alignment-agnostic: elements are decoded with
 /// `from_le_bytes`, which on little-endian hosts compiles to plain
 /// loads the vectorizer handles.
 enum SectionScan {
@@ -968,15 +600,15 @@ impl SectionScan {
     }
 }
 
-/// The single fused verify pass of the v2 reader: walks the payload
-/// once in ~256 KB blocks, folding the 4-lane checksum over each padded
+/// The single fused verify pass of the reader: walks the payload once
+/// in ~256 KB blocks, folding the 4-lane checksum over each padded
 /// section run and the structural aggregates over the unpadded data
 /// while the block is cache-resident. Checksum disagreement wins over
-/// structural complaints (matching v1 semantics: corrupt bytes report
-/// as corruption, not as whatever nonsense they decode to).
-fn verify_v2(header: &HeaderV2, header_tail: &[u8], payload: &[u8]) -> Result<(), SnapshotError> {
+/// structural complaints: corrupt bytes report as corruption, not as
+/// whatever nonsense they decode to.
+fn verify(header: &Header, header_tail: &[u8], payload: &[u8]) -> Result<(), SnapshotError> {
     const BLOCK: usize = 1 << 18; // multiple of the 32-byte hash round
-    let mut hash = SnapshotHashV2::new();
+    let mut hash = SnapshotHash::new();
     hash.update(header_tail);
     let mut scans = [
         SectionScan::Offsets {
@@ -1064,9 +696,13 @@ fn verify_v2(header: &HeaderV2, header_tail: &[u8], payload: &[u8]) -> Result<()
     Ok(())
 }
 
-/// Size checks shared by every v2 entry point, run between header parse
-/// and verify: the payload must hold exactly the padded sections.
-fn check_v2_payload_size(header: &HeaderV2, payload_len: u64) -> Result<(), SnapshotError> {
+/// Everything a reader must establish before it may interpret a
+/// section: the header parses, the payload holds exactly the padded
+/// sections, and the fused verify pass succeeds.
+fn verified_header(bytes: &[u8]) -> Result<Header, SnapshotError> {
+    let header = parse_header(bytes)?;
+    let payload = &bytes[HEADER_LEN_V2..];
+    let payload_len = payload.len() as u64;
     if payload_len < header.total_padded {
         return Err(SnapshotError::Truncated {
             expected: header.total_padded,
@@ -1074,18 +710,21 @@ fn check_v2_payload_size(header: &HeaderV2, payload_len: u64) -> Result<(), Snap
         });
     }
     if payload_len > header.total_padded {
+        // Trailing bytes are outside the sections; refusing them keeps
+        // "every byte is checked" true.
         return Err(SnapshotError::Malformed(format!(
             "{} trailing bytes after the last section",
             payload_len - header.total_padded
         )));
     }
-    Ok(())
+    verify(&header, &bytes[20..HEADER_LEN_V2], payload)?;
+    Ok(header)
 }
 
-/// Builds the [`EdgeWeights`] for a verified v2 header given the two
+/// Builds the [`EdgeWeights`] for a verified header given the two
 /// probability sections (empty unless the tag is per-edge).
-fn v2_weights(
-    header: &HeaderV2,
+fn edge_weights(
+    header: &Header,
     out_p: SectionStorage<f32>,
     in_p: SectionStorage<f32>,
 ) -> EdgeWeights {
@@ -1100,11 +739,11 @@ fn v2_weights(
 /// buffer. Only compiled where the cast is the identity — little-endian
 /// with 64-bit `usize` (the stored `u64` offsets *are* host `usize`s).
 #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
-fn attach_sections_v2(buf: &Arc<SnapshotBuf>, h: &HeaderV2) -> Graph {
+fn attach_sections(buf: &Arc<SnapshotBuf>, h: &Header) -> Graph {
     let off = |i: usize| HEADER_LEN_V2 + h.offs[i] as usize;
     let n4 = |i: usize| (h.lens[i] / 4) as usize;
     let n8 = |i: usize| (h.lens[i] / 8) as usize;
-    let weights = v2_weights(
+    let weights = edge_weights(
         h,
         SectionStorage::view(buf, off(5), n4(5)),
         SectionStorage::view(buf, off(6), n4(6)),
@@ -1122,9 +761,9 @@ fn attach_sections_v2(buf: &Arc<SnapshotBuf>, h: &HeaderV2) -> Graph {
 
 /// Owned assembly: decodes every section into fresh arrays. The
 /// portable fallback (and the [`read_snapshot_bytes`] path, which has
-/// no buffer to borrow from) — pure copy, no validation: `verify_v2`
-/// has already established every invariant.
-fn decode_owned_v2(header: &HeaderV2, payload: &[u8]) -> Graph {
+/// no buffer to borrow from) — pure copy, no validation: `verify` has
+/// already established every invariant.
+fn decode_owned(header: &Header, payload: &[u8]) -> Graph {
     let section =
         |i: usize| &payload[header.offs[i] as usize..(header.offs[i] + header.lens[i]) as usize];
     let u32s = |i: usize| -> Vec<u32> {
@@ -1148,7 +787,7 @@ fn decode_owned_v2(header: &HeaderV2, payload: &[u8]) -> Graph {
             })
             .collect()
     };
-    let weights = v2_weights(header, f32s(5).into(), f32s(6).into());
+    let weights = edge_weights(header, f32s(5).into(), f32s(6).into());
     Graph::from_validated_raw_csr(
         header.n,
         usizes(0),
@@ -1160,163 +799,12 @@ fn decode_owned_v2(header: &HeaderV2, payload: &[u8]) -> Graph {
     )
 }
 
-/// Checksum comparison, aggregate structural validation, and final
-/// assembly — shared by the in-memory and streaming readers. Decoded
-/// arrays are dropped unseen when the checksum disagrees.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    header: &Header,
-    hash: SnapshotHash,
-    out_off: OffsetDecoder,
-    out_to: U32Decoder,
-    in_off: OffsetDecoder,
-    in_from: U32Decoder,
-    in_eid: U32Decoder,
-    out_p: F32Decoder,
-    in_p: F32Decoder,
-) -> Result<Graph, SnapshotError> {
-    let computed = hash.finish();
-    if computed != header.stored_checksum {
-        return Err(SnapshotError::ChecksumMismatch {
-            stored: header.stored_checksum,
-            computed,
-        });
-    }
-    // Structural validation from the aggregates the decode pass
-    // collected — no re-traversal of the (potentially huge) arrays.
-    let (n, m) = (header.n, header.m);
-    for off in [&out_off, &in_off] {
-        if off.overflow {
-            return Err(SnapshotError::Malformed("offset exceeds usize".to_string()));
-        }
-        if !off.monotonic || off.out[0] != 0 || off.out[off.out.len() - 1] as u64 != m {
-            return Err(SnapshotError::Malformed(
-                "offsets must rise monotonically from 0 to m".to_string(),
-            ));
-        }
-    }
-    if m > 0 && (out_to.max >= n || in_from.max >= n) {
-        return Err(SnapshotError::Malformed(
-            "adjacency entry out of node range".to_string(),
-        ));
-    }
-    if m > 0 && in_eid.max as u64 >= m {
-        return Err(SnapshotError::Malformed("edge id out of range".to_string()));
-    }
-    let weights = match header.tag {
-        TAG_PER_EDGE => {
-            if !out_p.in_unit || !in_p.in_unit {
-                return Err(SnapshotError::Malformed(
-                    "per-edge probability out of [0,1]".to_string(),
-                ));
-            }
-            EdgeWeights::PerEdge {
-                out_p: out_p.out.into(),
-                in_p: in_p.out.into(),
-            }
-        }
-        TAG_IN_DEGREE => EdgeWeights::InDegree,
-        _ => EdgeWeights::Constant(header.constant),
-    };
-    Ok(Graph::from_validated_raw_csr(
-        n,
-        out_off.out,
-        out_to.out,
-        in_off.out,
-        in_from.out,
-        in_eid.out,
-        weights,
-    ))
-}
-
-/// Parses a snapshot from an in-memory byte slice — either version.
-/// The graph owns fresh CSR arrays (no borrowing from `bytes`; callers
-/// wanting the zero-copy representation go through [`load_snapshot`]).
-/// Sections are checksummed, decoded, and validation-aggregated in one
-/// in-place traversal; the only allocations are the final CSR arrays
-/// themselves (exact-sized, no growth).
+/// Parses a snapshot from an in-memory byte slice. The graph owns fresh
+/// CSR arrays (no borrowing from `bytes`; callers wanting the zero-copy
+/// representation go through [`load_snapshot`]).
 pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<Graph, SnapshotError> {
-    match peek_version_bytes(bytes)? {
-        LEGACY_FORMAT_VERSION => read_snapshot_bytes_v1(bytes),
-        FORMAT_VERSION => {
-            let header = parse_header_v2(bytes)?;
-            let payload = &bytes[HEADER_LEN_V2..];
-            check_v2_payload_size(&header, payload.len() as u64)?;
-            verify_v2(&header, &bytes[20..HEADER_LEN_V2], payload)?;
-            Ok(decode_owned_v2(&header, payload))
-        }
-        v => Err(SnapshotError::UnsupportedVersion(v)),
-    }
-}
-
-/// Reads the magic and version fields, with v1-compatible truncation
-/// semantics for short inputs.
-fn peek_version_bytes(bytes: &[u8]) -> Result<u32, SnapshotError> {
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated {
-            expected: HEADER_LEN_V2 as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < 12 {
-        return Err(SnapshotError::Truncated {
-            expected: HEADER_LEN_V2 as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    Ok(u32::from_le_bytes(
-        bytes[8..12].try_into().expect("fixed slice"),
-    ))
-}
-
-/// The v1 in-memory decoder (fused checksum + decode + aggregates).
-fn read_snapshot_bytes_v1(bytes: &[u8]) -> Result<Graph, SnapshotError> {
-    let header = parse_header(bytes)?;
-    let payload = &bytes[HEADER_LEN..];
-    if (payload.len() as u64) < header.total {
-        return Err(SnapshotError::Truncated {
-            expected: header.total,
-            got: payload.len() as u64,
-        });
-    }
-    if payload.len() as u64 > header.total {
-        // Trailing bytes are outside the checksum; refusing them keeps
-        // "every byte is covered" true.
-        return Err(SnapshotError::Malformed(format!(
-            "{} trailing bytes after the last section",
-            payload.len() as u64 - header.total
-        )));
-    }
-
-    let mut sections: [&[u8]; NUM_SECTIONS] = [&[]; NUM_SECTIONS];
-    let mut at = 0usize;
-    for (slot, &len) in sections.iter_mut().zip(&header.lens) {
-        *slot = &payload[at..at + len as usize];
-        at += len as usize;
-    }
-    // Hash in the same runs the writer used: header tail, each section.
-    let mut hash = SnapshotHash::new();
-    hash.update(&bytes[20..HEADER_LEN]);
-    let mut out_off = OffsetDecoder::new(header.lens[0]);
-    let mut out_to = U32Decoder::new(header.lens[1]);
-    let mut in_off = OffsetDecoder::new(header.lens[2]);
-    let mut in_from = U32Decoder::new(header.lens[3]);
-    let mut in_eid = U32Decoder::new(header.lens[4]);
-    let mut out_p = F32Decoder::new(header.lens[5]);
-    let mut in_p = F32Decoder::new(header.lens[6]);
-    out_off.feed(&mut hash, sections[0], true);
-    out_to.feed(&mut hash, sections[1], true);
-    in_off.feed(&mut hash, sections[2], true);
-    in_from.feed(&mut hash, sections[3], true);
-    in_eid.feed(&mut hash, sections[4], true);
-    out_p.feed(&mut hash, sections[5], true);
-    in_p.feed(&mut hash, sections[6], true);
-    assemble(
-        &header, hash, out_off, out_to, in_off, in_from, in_eid, out_p, in_p,
-    )
+    let header = verified_header(bytes)?;
+    Ok(decode_owned(&header, &bytes[HEADER_LEN_V2..]))
 }
 
 /// Reads a snapshot from any reader (the whole stream is consumed and
@@ -1332,184 +820,40 @@ pub fn save_snapshot<P: AsRef<Path>>(g: &Graph, path: P) -> std::io::Result<()> 
     write_snapshot(g, std::fs::File::create(path)?)
 }
 
-/// Streams one section of `len` bytes through `buf`, handing each
-/// filled chunk to `f` with a final-chunk flag. `buf.len()` is a
-/// multiple of 16, so every non-final chunk is 16-aligned — exactly
-/// what the decoders' `feed` requires for checksum equivalence.
-fn stream_section<R: Read>(
-    r: &mut R,
-    len: u64,
-    buf: &mut [u8],
-    mut f: impl FnMut(&[u8], bool),
-) -> Result<(), SnapshotError> {
-    debug_assert_eq!(buf.len() % 16, 0);
-    let mut remaining = len;
-    while remaining > 0 {
-        let chunk = remaining.min(buf.len() as u64) as usize;
-        r.read_exact(&mut buf[..chunk])?;
-        remaining -= chunk as u64;
-        f(&buf[..chunk], remaining == 0);
-    }
-    Ok(())
-}
-
-/// Loads a snapshot from a file at `path`.
-///
-/// Version-2 files take the **zero-copy** path: the file is mapped
-/// (private, read-only; owned aligned read as fallback), verified by
-/// the single fused checksum+validation pass, and the graph's sections
-/// are pointer-cast views into the mapped buffer — no per-section
-/// copies, no decode. Version-1 files fall back to the original
-/// streaming decoder. On targets where the cast is not the identity
-/// (big-endian or 32-bit), v2 files are decoded into owned arrays
-/// instead.
+/// Loads a snapshot from a file at `path` on the **zero-copy** path:
+/// the file is mapped (private, read-only; owned aligned read as
+/// fallback), verified by the single fused checksum+validation pass,
+/// and the graph's sections are pointer-cast views into the mapped
+/// buffer — no per-section copies, no decode. On targets where the cast
+/// is not the identity (big-endian or 32-bit), the verified sections
+/// are decoded into owned arrays instead.
 pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Graph, SnapshotError> {
     let mut file = std::fs::File::open(path)?;
-    let mut head12 = [0u8; 12];
-    let mut got = 0usize;
-    while got < 12 {
-        match file.read(&mut head12[got..]) {
-            Ok(0) => break,
-            Ok(k) => got += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(SnapshotError::Io(e)),
-        }
-    }
-    match peek_version_bytes(&head12[..got])? {
-        LEGACY_FORMAT_VERSION => {
-            file.seek(SeekFrom::Start(0))?;
-            load_snapshot_v1_file(file)
-        }
-        FORMAT_VERSION => load_snapshot_v2_file(file),
-        v => Err(SnapshotError::UnsupportedVersion(v)),
-    }
-}
-
-/// Loads a snapshot into **owned** CSR arrays regardless of version —
-/// the non-zero-copy twin of [`load_snapshot`], kept as an explicit
-/// entry point so tests and benches can pin the two representations
-/// against each other.
-pub fn load_snapshot_owned<P: AsRef<Path>>(path: P) -> Result<Graph, SnapshotError> {
-    let bytes = std::fs::read(path)?;
-    read_snapshot_bytes(&bytes)
-}
-
-/// Reads the format version of the snapshot at `path` without loading
-/// it (magic is verified; the version itself may be unknown to this
-/// reader). The cache uses this to spot upgradable old-format entries.
-pub fn snapshot_version<P: AsRef<Path>>(path: P) -> Result<u32, SnapshotError> {
-    let mut file = std::fs::File::open(path)?;
-    let mut head12 = [0u8; 12];
-    let mut got = 0usize;
-    while got < 12 {
-        match file.read(&mut head12[got..]) {
-            Ok(0) => break,
-            Ok(k) => got += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(SnapshotError::Io(e)),
-        }
-    }
-    peek_version_bytes(&head12[..got])
-}
-
-/// The v2 zero-copy file loader: map (or read into an aligned owned
-/// buffer), verify, cast.
-fn load_snapshot_v2_file(mut file: std::fs::File) -> Result<Graph, SnapshotError> {
     #[cfg(all(unix, target_pointer_width = "64"))]
     let buf = match SnapshotBuf::map_file(&file)? {
         Some(mapped) => mapped,
-        None => {
-            file.seek(SeekFrom::Start(0))?;
-            SnapshotBuf::read_file(&mut file)?
-        }
+        None => SnapshotBuf::read_file(&mut file)?,
     };
     #[cfg(not(all(unix, target_pointer_width = "64")))]
-    let buf = {
-        file.seek(SeekFrom::Start(0))?;
-        SnapshotBuf::read_file(&mut file)?
-    };
+    let buf = SnapshotBuf::read_file(&mut file)?;
     let buf = Arc::new(buf);
-    let bytes = buf.bytes();
-    let header = parse_header_v2(bytes)?;
-    let payload = &bytes[HEADER_LEN_V2..];
-    check_v2_payload_size(&header, payload.len() as u64)?;
-    verify_v2(&header, &bytes[20..HEADER_LEN_V2], payload)?;
+    let header = verified_header(buf.bytes())?;
     #[cfg(all(target_endian = "little", target_pointer_width = "64"))]
     {
-        Ok(attach_sections_v2(&buf, &header))
+        Ok(attach_sections(&buf, &header))
     }
     #[cfg(not(all(target_endian = "little", target_pointer_width = "64")))]
     {
-        Ok(decode_owned_v2(&header, payload))
+        Ok(decode_owned(&header, &buf.bytes()[HEADER_LEN_V2..]))
     }
 }
 
-/// The v1 streaming file loader (reads from the file's current
-/// position, which the dispatcher has rewound to 0), streaming the
-/// payload through a small cache-resident buffer straight into the
-/// decoders — the file's bytes are traversed once and never
-/// materialized as a whole.
-fn load_snapshot_v1_file(mut file: std::fs::File) -> Result<Graph, SnapshotError> {
-    let mut head = [0u8; HEADER_LEN];
-    let mut got = 0usize;
-    while got < HEADER_LEN {
-        match file.read(&mut head[got..]) {
-            Ok(0) => break,
-            Ok(k) => got += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(SnapshotError::Io(e)),
-        }
-    }
-    let header = parse_header(&head[..got])?;
-    // parse_header succeeding implies the full header was present.
-    let payload_len = file.metadata()?.len().saturating_sub(HEADER_LEN as u64);
-    if payload_len < header.total {
-        return Err(SnapshotError::Truncated {
-            expected: header.total,
-            got: payload_len,
-        });
-    }
-    if payload_len > header.total {
-        return Err(SnapshotError::Malformed(format!(
-            "{} trailing bytes after the last section",
-            payload_len - header.total
-        )));
-    }
-
-    let mut hash = SnapshotHash::new();
-    hash.update(&head[20..HEADER_LEN]);
-    let mut buf = vec![0u8; 1 << 18];
-    let mut out_off = OffsetDecoder::new(header.lens[0]);
-    let mut out_to = U32Decoder::new(header.lens[1]);
-    let mut in_off = OffsetDecoder::new(header.lens[2]);
-    let mut in_from = U32Decoder::new(header.lens[3]);
-    let mut in_eid = U32Decoder::new(header.lens[4]);
-    let mut out_p = F32Decoder::new(header.lens[5]);
-    let mut in_p = F32Decoder::new(header.lens[6]);
-    stream_section(&mut file, header.lens[0], &mut buf, |c, last| {
-        out_off.feed(&mut hash, c, last)
-    })?;
-    stream_section(&mut file, header.lens[1], &mut buf, |c, last| {
-        out_to.feed(&mut hash, c, last)
-    })?;
-    stream_section(&mut file, header.lens[2], &mut buf, |c, last| {
-        in_off.feed(&mut hash, c, last)
-    })?;
-    stream_section(&mut file, header.lens[3], &mut buf, |c, last| {
-        in_from.feed(&mut hash, c, last)
-    })?;
-    stream_section(&mut file, header.lens[4], &mut buf, |c, last| {
-        in_eid.feed(&mut hash, c, last)
-    })?;
-    stream_section(&mut file, header.lens[5], &mut buf, |c, last| {
-        out_p.feed(&mut hash, c, last)
-    })?;
-    stream_section(&mut file, header.lens[6], &mut buf, |c, last| {
-        in_p.feed(&mut hash, c, last)
-    })?;
-    assemble(
-        &header, hash, out_off, out_to, in_off, in_from, in_eid, out_p, in_p,
-    )
+/// Loads a snapshot into **owned** CSR arrays — the non-zero-copy twin
+/// of [`load_snapshot`], kept as an explicit entry point so tests and
+/// benches can pin the two representations against each other.
+pub fn load_snapshot_owned<P: AsRef<Path>>(path: P) -> Result<Graph, SnapshotError> {
+    let bytes = std::fs::read(path)?;
+    read_snapshot_bytes(&bytes)
 }
 
 #[cfg(test)]
@@ -1525,7 +869,7 @@ mod tests {
         let bytes = vec![0x5au8; 128 << 20];
         for round in 0..2 {
             let t = std::time::Instant::now();
-            let mut h = SnapshotHashV2::new();
+            let mut h = SnapshotHash::new();
             h.update(&bytes);
             std::hint::black_box(h.finish());
             eprintln!("round {round}: hash only {:?}", t.elapsed());
@@ -1550,7 +894,7 @@ mod tests {
             // — the conditions the fused verify loop's scan runs under.
             let block = &bytes[..1 << 18];
             let t = std::time::Instant::now();
-            let mut h = SnapshotHashV2::new();
+            let mut h = SnapshotHash::new();
             for _ in 0..512 {
                 h.update(block);
             }
@@ -1665,9 +1009,9 @@ mod tests {
 
     #[test]
     fn file_loader_detects_truncation_flips_and_trailing_bytes() {
-        // The streaming file loader shares parse/validate logic with the
-        // in-memory path but reads through a chunk buffer; exercise its
-        // error handling end to end on a real file.
+        // The file loader shares parse/verify logic with the in-memory
+        // path but maps the file (or reads it into an aligned buffer);
+        // exercise its error handling end to end on a real file.
         let dir = std::env::temp_dir().join("uic_graph_snapshot_stream_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.uicg");
@@ -1697,6 +1041,9 @@ mod tests {
             load_snapshot(&path),
             Err(SnapshotError::Malformed(_))
         ));
+        // Not a snapshot at all.
+        std::fs::write(&path, b"definitely not a snapshot").unwrap();
+        assert!(matches!(load_snapshot(&path), Err(SnapshotError::BadMagic)));
         // Pristine file still loads.
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), g);
@@ -1738,30 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load_through_the_fallback() {
-        let arcs = sample_arcs();
-        let per_edge = Graph::from_edges(4, &[(0, 1, 0.5), (0, 2, 0.25), (1, 2, 1.0), (2, 0, 0.0)]);
-        let wc = Graph::try_from_arcs(4, &arcs, WeightSpec::InDegree).unwrap();
-        let cp = Graph::try_from_arcs(4, &arcs, WeightSpec::Constant(0.125)).unwrap();
-        let dir = std::env::temp_dir().join("uic_graph_snapshot_v1_compat");
-        std::fs::create_dir_all(&dir).unwrap();
-        for (i, g) in [&per_edge, &wc, &cp].into_iter().enumerate() {
-            let mut buf = Vec::new();
-            write_snapshot_v1(g, &mut buf).unwrap();
-            assert_eq!(&buf[8..12], &1u32.to_le_bytes());
-            // In-memory v1 read.
-            assert_eq!(&read_snapshot(&buf[..]).unwrap(), g);
-            // Streaming v1 file load through the dispatcher.
-            let path = dir.join(format!("g{i}.uicg"));
-            std::fs::write(&path, &buf).unwrap();
-            let loaded = load_snapshot(&path).unwrap();
-            assert_eq!(&loaded, g);
-            assert!(!loaded.is_zero_copy(), "v1 loads are owned");
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
     fn v2_file_load_is_zero_copy_and_bit_identical() {
         let dir = std::env::temp_dir().join("uic_graph_snapshot_v2_zero_copy");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1792,28 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_version_peeks_without_loading() {
-        let dir = std::env::temp_dir().join("uic_graph_snapshot_version_peek");
-        std::fs::create_dir_all(&dir).unwrap();
-        let g = Graph::from_edges(2, &[(0, 1, 0.5)]);
-        let p2 = dir.join("v2.uicg");
-        save_snapshot(&g, &p2).unwrap();
-        assert_eq!(snapshot_version(&p2).unwrap(), 2);
-        let p1 = dir.join("v1.uicg");
-        write_snapshot_v1(&g, std::fs::File::create(&p1).unwrap()).unwrap();
-        assert_eq!(snapshot_version(&p1).unwrap(), 1);
-        let junk = dir.join("junk.uicg");
-        std::fs::write(&junk, b"definitely not a snapshot").unwrap();
-        assert!(matches!(
-            snapshot_version(&junk),
-            Err(SnapshotError::BadMagic)
-        ));
-        for p in [p1, p2, junk] {
-            std::fs::remove_file(&p).ok();
-        }
-    }
-
-    #[test]
     fn v2_misaligned_offset_table_is_a_typed_error() {
         let g = Graph::from_edges(3, &[(0, 1, 0.5), (1, 2, 0.25)]);
         let mut buf = Vec::new();
@@ -1828,20 +1129,5 @@ mod tests {
             read_snapshot_bytes(&buf),
             Err(SnapshotError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn v1_single_byte_flips_are_detected() {
-        let g = Graph::from_edges(3, &[(0, 1, 0.5), (1, 2, 0.25), (2, 0, 1.0)]);
-        let mut buf = Vec::new();
-        write_snapshot_v1(&g, &mut buf).unwrap();
-        for at in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[at] ^= 0x10;
-            assert!(
-                read_snapshot(&bad[..]).is_err(),
-                "v1 flip at byte {at} went unnoticed"
-            );
-        }
     }
 }
