@@ -22,10 +22,10 @@ use uic_items::{ItemSet, UtilityModel};
 
 /// Runs bundle-disj. Unlike bundleGRD this baseline must see the
 /// deterministic utilities (`model`), exactly as the paper describes.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct through the solver registry: <dyn uic_core::Allocator>::by_name(\"bundle-disj\")"
-)]
+///
+/// This is the engine behind the registry entry `uic_core::solver::BundleDisj`
+/// (`<dyn uic_core::Allocator>::by_name("bundle-disj")`), the public
+/// entry point.
 pub fn bundle_disj(
     g: &Graph,
     budgets: &[u32],
@@ -134,7 +134,6 @@ pub fn bundle_disj(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests exercise the engine behind the registry
 mod tests {
     use super::*;
     use std::sync::Arc;

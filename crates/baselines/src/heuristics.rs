@@ -1,53 +1,9 @@
-//! Proxy-centrality seed heuristics: **high-degree** and **PageRank**.
-//!
-//! The classic comparison points of the IM literature since Kempe,
-//! Kleinberg & Tardos (the paper's \[30\], whose experiments pit greedy
-//! against exactly these two): rank nodes by a cheap structural proxy for
-//! influence, then allocate budgets bundleGRD-style (every item's top-`b_i`
-//! prefix of one shared ranking — so the comparison isolates *seed
-//! quality*, not allocation shape). No spread estimation is performed, so
-//! both run in near-linear time and carry no approximation guarantee.
+//! **PageRank** by power iteration — the ranking behind the
+//! `pagerank-top` registry entry (`uic_core::solver::PageRankTop`), which
+//! runs it on the transposed graph and seeds every item on its
+//! budget-prefix of the result.
 
-use std::time::Instant;
-use uic_diffusion::{Allocation, SolveReport};
 use uic_graph::{Graph, NodeId};
-
-/// Ranks nodes by out-degree (ties → lower id first) and assigns item
-/// `i`'s budget to the top-`b_i` prefix.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct through the solver registry: <dyn uic_core::Allocator>::by_name(\"degree-top\")"
-)]
-pub fn degree_top(g: &Graph, budgets: &[u32]) -> SolveReport {
-    assert!(!budgets.is_empty(), "need at least one item");
-    let start = Instant::now();
-    let mut order: Vec<NodeId> = (0..g.num_nodes()).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v));
-    SolveReport::new("degree-top", prefix_allocation(&order, budgets)).with_elapsed_since(start)
-}
-
-/// Ranks nodes by PageRank **on the transposed graph** (influence flows
-/// along out-edges, so a node is influential when many recursively
-/// influential nodes are reachable *from* it — the mirror image of the
-/// usual prestige ranking) and assigns item `i`'s budget to the
-/// top-`b_i` prefix.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct through the solver registry: <dyn uic_core::Allocator>::by_name(\"pagerank-top\")"
-)]
-pub fn pagerank_top(g: &Graph, budgets: &[u32], damping: f64, iterations: u32) -> SolveReport {
-    assert!(!budgets.is_empty(), "need at least one item");
-    let start = Instant::now();
-    let scores = pagerank(&g.transpose(), damping, iterations);
-    let mut order: Vec<NodeId> = (0..g.num_nodes()).collect();
-    order.sort_by(|&a, &b| {
-        scores[b as usize]
-            .partial_cmp(&scores[a as usize])
-            .expect("PageRank scores are finite")
-            .then(a.cmp(&b))
-    });
-    SolveReport::new("pagerank-top", prefix_allocation(&order, budgets)).with_elapsed_since(start)
-}
 
 /// Standard PageRank by power iteration with uniform teleportation;
 /// dangling-node mass is redistributed uniformly so the scores stay a
@@ -98,20 +54,7 @@ pub fn pagerank(g: &Graph, damping: f64, iterations: u32) -> Vec<f64> {
     rank
 }
 
-/// bundleGRD-shaped allocation: item `i` gets the first `b_i` nodes of a
-/// shared ranking.
-fn prefix_allocation(order: &[NodeId], budgets: &[u32]) -> Allocation {
-    let mut allocation = Allocation::new();
-    for (item, &b) in budgets.iter().enumerate() {
-        for &v in &order[..(b as usize).min(order.len())] {
-            allocation.assign(v, item as u32);
-        }
-    }
-    allocation
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the tests exercise the engines behind the registry
 mod tests {
     use super::*;
     use uic_graph::{GraphBuilder, Weighting};
@@ -124,28 +67,6 @@ mod tests {
         b.add_edge(15, 16, 0.5);
         b.add_edge(15, 17, 0.5);
         b.build(Weighting::AsGiven, 0)
-    }
-
-    #[test]
-    fn degree_ranks_hub_first() {
-        let g = hub_graph();
-        let r = degree_top(&g, &[2, 1]);
-        let s0 = r.allocation.seeds_of_item(0);
-        assert_eq!(s0, vec![0, 15], "hub then secondary hub");
-        assert_eq!(r.allocation.seeds_of_item(1), vec![0]);
-    }
-
-    #[test]
-    fn degree_respects_budgets_and_prefix_shape() {
-        let g = hub_graph();
-        let budgets = [3u32, 1];
-        let r = degree_top(&g, &budgets);
-        assert!(r.allocation.respects_budgets(&budgets));
-        // Prefix shape: item 1's seeds ⊂ item 0's seeds.
-        let s0 = r.allocation.seeds_of_item(0);
-        for v in r.allocation.seeds_of_item(1) {
-            assert!(s0.contains(&v));
-        }
     }
 
     #[test]
@@ -173,23 +94,6 @@ mod tests {
         let scores = pagerank(&g, 0.85, 100);
         assert!(scores[0] > scores[1]);
         assert!(scores[0] > scores[2]);
-    }
-
-    #[test]
-    fn pagerank_top_picks_the_influencer_not_the_celebrity() {
-        // Node 0 points at many; many point at node 19. On the transpose
-        // node 0 is the prestige sink, so pagerank_top must rank 0 first —
-        // out-influence, not in-popularity.
-        let mut b = GraphBuilder::new(20);
-        for leaf in 1..10u32 {
-            b.add_edge(0, leaf, 0.5);
-        }
-        for fan in 10..19u32 {
-            b.add_edge(fan, 19, 0.5);
-        }
-        let g = b.build(Weighting::AsGiven, 0);
-        let r = pagerank_top(&g, &[1], 0.85, 100);
-        assert_eq!(r.allocation.seeds_of_item(0), vec![0]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! # uic-baselines
 //!
-//! The six baselines of §4.3.1.2, all producing [`uic_diffusion::Allocation`]s
-//! scored by the shared UIC welfare estimator:
+//! The engines of the baselines of §4.3.1.2 whose machinery is their own,
+//! plus the reference allocators around them. Every solver's public entry
+//! point is its registry type in `uic_core::solver`
+//! (`<dyn uic_core::Allocator>::by_name("bundle-disj")`); the functions
+//! here are the engines those types call, and the small solvers
+//! (item-disj, degree-top, PageRank-top, the budgeted BDHS) run entirely
+//! inside their registry type.
 //!
-//! * [`mod@item_disj`] — **item-disj**: one IMM call with budget `Σ b_i`,
-//!   then disjoint chunks per item in non-increasing budget order. Never
-//!   bundles, so it forfeits supermodularity but exploits propagation.
 //! * [`mod@bundle_disj`] — **bundle-disj**: greedily forms minimum-size
 //!   bundles with non-negative *deterministic* utility, allocates each
 //!   bundle to a fresh seed chunk, then recycles surplus budgets into
@@ -21,39 +23,24 @@
 //!   bundle, adoption driven by 1-step live-edge support or the concave
 //!   `1−(1−p)^s` 2-hop support function. No propagation, no budget —
 //!   bundleGRD is swept against these horizontal benchmarks in Fig. 9.
-//!
-//! Beyond the paper's six, two families of reference allocators round out
-//! the comparison surface:
-//!
 //! * [`mc_greedy`] — the *direct* pair-greedy on the welfare objective
 //!   (no guarantee — ρ is neither sub- nor supermodular — and brutally
 //!   expensive; the honest strawman bundleGRD is measured against).
-//! * [`heuristics`] — **high-degree** and **PageRank** proxy rankings,
-//!   the classic KKT'03 comparison points, allocated bundleGRD-style.
+//! * [`heuristics`] — **PageRank**, the ranking of the `pagerank-top`
+//!   comparison point (KKT'03).
 //!
-//! Every seed-selection function returns the workspace-wide
-//! [`uic_diffusion::SolveReport`] (unscored — welfare statistics are
-//! attached by the `Allocator::solve` entry point in `uic-core`). The
-//! free functions themselves are deprecated entry points kept for
-//! back-compat: prefer constructing solvers through the registry,
-//! `<dyn uic_core::Allocator>::by_name("item-disj")`.
+//! The seed-selection engines return the workspace-wide
+//! [`uic_diffusion::SolveReport`] unscored — welfare statistics are
+//! attached by the `Allocator::solve` entry point in `uic-core`.
 
 pub mod bdhs;
 pub mod bundle_disj;
 pub mod heuristics;
-pub mod item_disj;
 pub mod mc_greedy;
 pub mod rr_sim;
 
 pub use bdhs::{bdhs_concave_welfare, bdhs_step_welfare, bdhs_step_welfare_exact, best_bundle};
-#[allow(deprecated)]
 pub use bundle_disj::bundle_disj;
 pub use heuristics::pagerank;
-#[allow(deprecated)]
-pub use heuristics::{degree_top, pagerank_top};
-#[allow(deprecated)]
-pub use item_disj::item_disj;
-#[allow(deprecated)]
-pub use mc_greedy::{mc_greedy_welfare, mc_greedy_welfare_for};
-#[allow(deprecated)]
+pub use mc_greedy::mc_greedy_welfare_for;
 pub use rr_sim::{rr_cim, rr_sim_plus};

@@ -23,47 +23,25 @@
 //! comparisons use common random numbers and the run is deterministic.
 //! Per-world monotonicity of welfare (Theorem 1) then guarantees the
 //! shared estimate never decreases along the greedy path, so the loop
-//! runs until the budgets are exhausted.
+//! runs until the budgets are exhausted (or the candidate pool has no
+//! feasible pair left).
 
 use std::sync::Arc;
 use std::time::Instant;
-use uic_diffusion::{
-    default_objective, Allocation, ObjectiveError, SolveReport, WelfareEstimator, WelfareObjective,
-};
+use uic_diffusion::{Allocation, ObjectiveError, SolveReport, WelfareEstimator, WelfareObjective};
 use uic_graph::{Graph, NodeId};
 use uic_items::UtilityModel;
 
 /// Runs pair-greedy WelMax over the given `candidates` pool (pass all
 /// nodes on small graphs; a degree- or PRIMA-preselected pool otherwise —
-/// the full pool is quadratic-ish and meant for reference runs only).
+/// the full pool is quadratic-ish and meant for reference runs only),
+/// with gains measured under `objective`.
 ///
-/// `budgets[i]` is item `i`'s seed budget; the allocator stops when every
-/// budget is exhausted or no pair improves the estimate.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct through the solver registry: <dyn uic_core::Allocator>::by_name(\"mc-greedy\")"
-)]
-pub fn mc_greedy_welfare(
-    g: &Graph,
-    model: &UtilityModel,
-    budgets: &[u32],
-    candidates: &[NodeId],
-    sims: u32,
-    seed: u64,
-) -> SolveReport {
-    mc_greedy_welfare_for(
-        g,
-        model,
-        budgets,
-        candidates,
-        sims,
-        seed,
-        default_objective(),
-    )
-    .expect("the utilitarian default validates against any graph")
-}
-
-/// [`mc_greedy_welfare`] under an arbitrary [`WelfareObjective`].
+/// `budgets[i]` is item `i`'s seed budget. Each round adds the feasible
+/// pair with the highest estimate even when it improves nothing (the
+/// plateau tolerance above), so the allocator stops only when every
+/// budget is used up or no feasible pair is left — a budget larger than
+/// the candidate pool leaves the rest unspent.
 ///
 /// Because every round re-estimates full allocations by simulation, the
 /// greedy needs **no** structural assumption on the objective — this is
@@ -71,6 +49,10 @@ pub fn mc_greedy_welfare(
 /// per-community) that the RIS machinery refuses. The only failure mode
 /// is an objective that does not fit the graph (community labeling of
 /// the wrong size).
+///
+/// This is the engine behind the registry entry `uic_core::solver::McGreedy`
+/// (`<dyn uic_core::Allocator>::by_name("mc-greedy")`), the public entry
+/// point, which picks the candidate pool from its `pool` parameter.
 pub fn mc_greedy_welfare_for(
     g: &Graph,
     model: &UtilityModel,
@@ -123,11 +105,11 @@ pub fn mc_greedy_welfare_for(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests exercise the engine behind the registry
 mod tests {
     use super::*;
     use std::sync::Arc;
     use uic_core::solve_welmax_bruteforce;
+    use uic_diffusion::default_objective;
     use uic_items::{NoiseModel, Price, TableValuation};
 
     /// Two complementary items: each worthless alone, valuable together.
@@ -158,7 +140,8 @@ mod tests {
         // co-seeded; pair-greedy must discover the bundle.
         let g = path3();
         let model = complementary_model();
-        let r = mc_greedy_welfare(&g, &model, &[1, 1], &[0, 1, 2], 200, 3);
+        let r = mc_greedy_welfare_for(&g, &model, &[1, 1], &[0, 1, 2], 200, 3, default_objective())
+            .unwrap();
         let s0 = r.allocation.seeds_of_item(0);
         let s1 = r.allocation.seeds_of_item(1);
         assert_eq!(s0.len(), 1);
@@ -171,7 +154,16 @@ mod tests {
         let g = path3();
         let model = additive_model();
         let budgets = [2u32, 1];
-        let r = mc_greedy_welfare(&g, &model, &budgets, &[0, 1, 2], 100, 5);
+        let r = mc_greedy_welfare_for(
+            &g,
+            &model,
+            &budgets,
+            &[0, 1, 2],
+            100,
+            5,
+            default_objective(),
+        )
+        .unwrap();
         assert!(r.allocation.respects_budgets(&budgets));
     }
 
@@ -179,8 +171,10 @@ mod tests {
     fn deterministic_given_seed() {
         let g = path3();
         let model = complementary_model();
-        let a = mc_greedy_welfare(&g, &model, &[1, 1], &[0, 1, 2], 150, 9);
-        let b = mc_greedy_welfare(&g, &model, &[1, 1], &[0, 1, 2], 150, 9);
+        let a = mc_greedy_welfare_for(&g, &model, &[1, 1], &[0, 1, 2], 150, 9, default_objective())
+            .unwrap();
+        let b = mc_greedy_welfare_for(&g, &model, &[1, 1], &[0, 1, 2], 150, 9, default_objective())
+            .unwrap();
         assert_eq!(a.allocation, b.allocation);
     }
 
@@ -194,7 +188,16 @@ mod tests {
         let model = complementary_model();
         let table = uic_items::UtilityTable::from_values(2, vec![0.0, -0.5, -0.5, 2.0]);
         let (opt_alloc, opt_welfare) = solve_welmax_bruteforce(&g, &table, &[1, 1]);
-        let r = mc_greedy_welfare(&g, &model, &[1, 1], &[0, 1, 2], 400, 11);
+        let r = mc_greedy_welfare_for(
+            &g,
+            &model,
+            &[1, 1],
+            &[0, 1, 2],
+            400,
+            11,
+            default_objective(),
+        )
+        .unwrap();
         let estimator = WelfareEstimator::new(&g, &model, 4000, 77);
         let greedy_welfare = estimator.estimate(&r.allocation);
         assert!(
@@ -215,7 +218,8 @@ mod tests {
             Price::additive(vec![5.0]),
             NoiseModel::none(1),
         );
-        let r = mc_greedy_welfare(&g, &model, &[2], &[0, 1, 2], 100, 13);
+        let r = mc_greedy_welfare_for(&g, &model, &[2], &[0, 1, 2], 100, 13, default_objective())
+            .unwrap();
         assert_eq!(r.allocation.num_pairs(), 2, "plateau steps spend budget");
         let estimator = WelfareEstimator::new(&g, &model, 500, 19);
         assert_eq!(estimator.estimate(&r.allocation), 0.0);
@@ -227,7 +231,8 @@ mod tests {
         // holds the item, so the loop must terminate early.
         let g = path3();
         let model = additive_model();
-        let r = mc_greedy_welfare(&g, &model, &[3, 3], &[0], 100, 17);
+        let r =
+            mc_greedy_welfare_for(&g, &model, &[3, 3], &[0], 100, 17, default_objective()).unwrap();
         assert_eq!(r.allocation.num_pairs(), 2, "one node × two items");
     }
 
@@ -235,31 +240,16 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_mismatch_rejected() {
         let g = path3();
-        mc_greedy_welfare(&g, &complementary_model(), &[1], &[0], 10, 1);
-    }
-
-    #[test]
-    fn objective_variant_defaults_to_the_deprecated_entry_point() {
-        use uic_diffusion::{default_objective, Ces};
-        let g = path3();
-        let model = complementary_model();
-        let plain = mc_greedy_welfare(&g, &model, &[1, 1], &[0, 1, 2], 150, 9);
-        let gated =
-            mc_greedy_welfare_for(&g, &model, &[1, 1], &[0, 1, 2], 150, 9, default_objective())
-                .unwrap();
-        assert_eq!(plain.allocation, gated.allocation);
-        // A non-additive objective is perfectly fine here.
-        let ces = mc_greedy_welfare_for(
+        mc_greedy_welfare_for(
             &g,
-            &model,
-            &[1, 1],
-            &[0, 1, 2],
-            150,
-            9,
-            Arc::new(Ces::new(0.5).unwrap()),
+            &complementary_model(),
+            &[1],
+            &[0],
+            10,
+            1,
+            default_objective(),
         )
         .unwrap();
-        assert!(ces.allocation.respects_budgets(&[1, 1]));
     }
 
     #[test]

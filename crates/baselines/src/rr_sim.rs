@@ -132,10 +132,10 @@ impl RrSampler for SelfRrSampler {
 
 /// Runs RR-SIM+: item 2 seeded by IMM with budget `b2`, item 1's `b1`
 /// seeds selected on self-influence RR sets sized by the TIM bound.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct through the solver registry: <dyn uic_core::Allocator>::by_name(\"rr-sim+\")"
-)]
+///
+/// This is the engine behind the registry entry `uic_core::solver::RrSimPlus`
+/// (`<dyn uic_core::Allocator>::by_name("rr-sim+")`), the public entry
+/// point.
 pub fn rr_sim_plus(
     g: &Graph,
     gap: GapParams,
@@ -391,10 +391,10 @@ impl RrSampler for CimSampler<'_> {
 /// Runs RR-CIM: item 1 seeded by IMM with budget `b1`; item 2's `b2`
 /// seeds selected on complement-aware RR sets (forward + backward pass
 /// per sample, shared edge world).
-#[deprecated(
-    since = "0.1.0",
-    note = "construct through the solver registry: <dyn uic_core::Allocator>::by_name(\"rr-cim\")"
-)]
+///
+/// This is the engine behind the registry entry `uic_core::solver::RrCim`
+/// (`<dyn uic_core::Allocator>::by_name("rr-cim")`), the public entry
+/// point.
 pub fn rr_cim(
     g: &Graph,
     gap: GapParams,
@@ -441,7 +441,6 @@ pub fn rr_cim(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests exercise the engines behind the registry
 mod tests {
     use super::*;
     use uic_graph::{GraphBuilder, Weighting};

@@ -12,16 +12,16 @@
 //! * **Prefix-preserving orderings** — PRIMA vs SKIM, one multi-budget
 //!   ordering each.
 
-// These benches time the raw engine functions below the registry facade.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use uic_baselines::{degree_top, pagerank_top};
+use uic_core::solver::{DegreeTop, PageRankTop};
+use uic_core::{Allocator, SolveCtx, WelMax};
 use uic_datasets::{named_network, NamedNetwork};
 use uic_diffusion::{simulate_uic, Allocation, UicSimulator, WelfareEstimator};
 use uic_im::{imm, opim_c, prima, skim, ssa, tim_plus, DiffusionModel, SkimOptions};
-use uic_items::{AdoptionOracle, ItemSet, NoiseModel, Price, TableValuation, UtilityModel};
+use uic_items::{
+    AdditiveValuation, AdoptionOracle, ItemSet, NoiseModel, Price, TableValuation, UtilityModel,
+};
 use uic_util::UicRng;
 
 fn model() -> UtilityModel {
@@ -147,11 +147,26 @@ fn bench_im_zoo(c: &mut Criterion) {
     group.bench_function("skim", |b| {
         b.iter(|| skim(&g, k, &SkimOptions::default(), 42).seeds.len())
     });
+    // The heuristics run through the registry on a one-item instance.
+    let inst = WelMax::on(&g)
+        .model(UtilityModel::new(
+            Arc::new(AdditiveValuation::new(vec![1.0])),
+            Price::additive(vec![0.0]),
+            NoiseModel::none(1),
+        ))
+        .budgets([k])
+        .build()
+        .expect("k within n");
+    let ctx = SolveCtx::new(42);
     group.bench_function("degree_top", |b| {
-        b.iter(|| degree_top(&g, &[k]).allocation.num_pairs())
+        b.iter(|| DegreeTop.run(&inst, &ctx).allocation.num_pairs())
     });
+    let pagerank_top = PageRankTop {
+        damping: 0.85,
+        iterations: 50,
+    };
     group.bench_function("pagerank_top", |b| {
-        b.iter(|| pagerank_top(&g, &[k], 0.85, 50).allocation.num_pairs())
+        b.iter(|| pagerank_top.run(&inst, &ctx).allocation.num_pairs())
     });
     group.finish();
 }

@@ -2,14 +2,10 @@
 //! the real Param — large skew forces the biggest PRIMA budget and is
 //! the slowest, matching the paper.
 
-// These benches time the raw engine functions below the registry facade.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use uic_bench::bench_opts;
-use uic_core::bundle_grd;
 use uic_datasets::{budget_splits, named_network, NamedNetwork};
-use uic_im::DiffusionModel;
+use uic_im::{prima, DiffusionModel};
 
 fn bench(c: &mut Criterion) {
     let opts = bench_opts();
@@ -22,10 +18,12 @@ fn bench(c: &mut Criterion) {
         ("large_skew", budget_splits::large_skew(100, 5)),
         ("moderate_skew", budget_splits::real_params(100)),
     ];
+    // Every split comes sorted non-increasing, as PRIMA (bundleGRD's one
+    // ordering) takes them.
     for (name, budgets) in distros {
         let budgets: Vec<u32> = budgets.into_iter().map(|b| b.min(n)).collect();
         group.bench_function(name, |b| {
-            b.iter(|| bundle_grd(&g, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42))
+            b.iter(|| prima(&g, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42))
         });
     }
     group.finish();

@@ -1,13 +1,11 @@
 //! Fig. 9(a–c) bench: the BDHS externality benchmarks vs a propagated
 //! bundleGRD welfare evaluation.
 
-// These benches time the raw engine functions below the registry facade.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use uic_baselines::{bdhs_concave_welfare, bdhs_step_welfare_exact};
 use uic_bench::bench_opts;
-use uic_core::bundle_grd;
+use uic_core::solver::BundleGrd;
+use uic_core::{Allocator, SolveCtx, WelMax};
 use uic_datasets::{named_network, real_param_model, NamedNetwork};
 use uic_diffusion::WelfareEstimator;
 use uic_graph::Weighting;
@@ -27,10 +25,19 @@ fn bench(c: &mut Criterion) {
         b.iter(|| bdhs_concave_welfare(&g_uniform, &model, 0.01))
     });
     let n = g.num_nodes();
-    let budgets = vec![(n / 10).max(1); 5];
+    let inst = WelMax::on(&g)
+        .model(model.clone())
+        .budgets(vec![(n / 10).max(1); 5])
+        .build()
+        .expect("uniform budgets within n");
+    let solver = BundleGrd {
+        eps: opts.eps,
+        ell: opts.ell,
+        model: DiffusionModel::IC,
+    };
     group.bench_function("bundlegrd_10pct+score", |b| {
         b.iter(|| {
-            let r = bundle_grd(&g, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42);
+            let r = solver.run(&inst, &SolveCtx::new(42));
             WelfareEstimator::new(&g, &model, opts.sims, opts.seed).estimate(&r.allocation)
         })
     });

@@ -1,15 +1,11 @@
 //! Fig. 9(d) bench: bundleGRD across BFS-prefix graph sizes with both
 //! edge-weight schemes — the linear-scaling story.
 
-// These benches time the raw engine functions below the registry facade.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use uic_bench::bench_opts;
-use uic_core::bundle_grd;
 use uic_datasets::{named_network, NamedNetwork};
 use uic_graph::{bfs_prefix_subgraph, Weighting};
-use uic_im::DiffusionModel;
+use uic_im::{prima, DiffusionModel};
 
 fn bench(c: &mut Criterion) {
     let opts = bench_opts();
@@ -22,11 +18,11 @@ fn bench(c: &mut Criterion) {
         let budgets = vec![10u32.min(n / 4).max(1); 5];
         let wc = sub.reweighted_as(Weighting::WeightedCascade, 0);
         group.bench_function(format!("wc_1_din/{pct}pct"), |b| {
-            b.iter(|| bundle_grd(&wc, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42))
+            b.iter(|| prima(&wc, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42))
         });
         let cp = sub.reweighted_as(Weighting::Constant(0.01), 0);
         group.bench_function(format!("const_0.01/{pct}pct"), |b| {
-            b.iter(|| bundle_grd(&cp, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42))
+            b.iter(|| prima(&cp, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42))
         });
     }
     group.finish();

@@ -6,12 +6,8 @@
 //! approximation guarantee (Theorem 2).
 //!
 //! * [`problem`] — [`WelMaxInstance`]: graph + utility model + budget
-//!   vector, with the canonical budget-sorted item indexing.
-//! * [`mod@bundle_grd`] — run PRIMA once on the budget vector, then assign
-//!   item `i` to the top-`b_i` seeds of the shared ordering. Notably the
-//!   algorithm never reads the valuation, prices, or noise — the
-//!   guarantee only needs *supermodular valuation + additive price/noise*
-//!   (§4.2.1: "It reflects the power of bundling").
+//!   vector, with the canonical budget-sorted item indexing, assembled
+//!   by the [`WelMax`] builder.
 //! * [`accounting`] — the block-accounting welfare decomposition of
 //!   Lemma 5 (`ρ_{W^N}(𝒮^Grd) = Σ_i σ(S_i^GrdE)·Δ_i`) and the Lemma 7
 //!   upper bound for arbitrary allocations — used by tests and the
@@ -19,26 +15,27 @@
 //! * [`exact`] — brute-force WelMax solver for tiny instances (exhaustive
 //!   allocation search over exact welfare), powering empirical
 //!   approximation-ratio checks.
-//! * [`solver`] — the unified solver API: the [`Allocator`] trait over
-//!   all nine algorithms (bundleGRD + the eight baselines), the
-//!   string-keyed [`solver::registry`], typed per-algorithm parameter
-//!   structs with config-text serialization, and the [`WelMax`] builder
-//!   for assembling instances.
+//! * [`solver`] — the unified solver API and the one entry point of every
+//!   algorithm: the [`Allocator`] trait over all ten registry entries
+//!   (bundleGRD, the eight baselines and the warm-arena `warm-grd`), the
+//!   string-keyed [`solver::registry`], and typed per-algorithm parameter
+//!   structs with config-text serialization. [`solver::BundleGrd`] is
+//!   bundleGRD itself: run PRIMA once on the budget vector, then assign
+//!   item `i` to the top-`b_i` seeds of the shared ordering. Notably the
+//!   algorithm never reads the valuation, prices, or noise — the
+//!   guarantee only needs *supermodular valuation + additive price/noise*
+//!   (§4.2.1: "It reflects the power of bundling").
 //! * [`objective`] — [`ObjectiveSpec`]: the `objective=` key of the spec
 //!   text format, resolving to the pluggable welfare objectives of
 //!   `uic-diffusion` (utilitarian / maximin / CES / per-community).
 
 pub mod accounting;
-pub mod bundle_grd;
 pub mod exact;
 pub mod objective;
 pub mod problem;
 pub mod solver;
 
 pub use accounting::{greedy_welfare_decomposition, upper_bound_welfare};
-#[allow(deprecated)]
-pub use bundle_grd::bundle_grd;
-pub use bundle_grd::BundleGrdResult;
 pub use exact::solve_welmax_bruteforce;
 pub use objective::{ObjectiveSpec, PER_COMMUNITY_PARTITION_SEED};
 pub use problem::{InstanceError, WelMax, WelMaxInstance};

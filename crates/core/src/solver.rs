@@ -19,9 +19,11 @@
 //!
 //! Every algorithm — bundleGRD, the eight baselines, and the warm-arena
 //! `warm-grd` serving engine — is a registry entry; adding a workload
-//! means adding an entry, not a new `match` arm.
-//! The deprecated free functions (`bundle_grd`, `uic_baselines::*`)
-//! remain as the engines these impls wrap.
+//! means adding an entry, not a new `match` arm. The registry types are
+//! the only entry points: the small solvers (bundleGRD, item-disj,
+//! degree-top, PageRank-top, BDHS) run inside their `run`, and the
+//! engines with private machinery of their own (bundle-disj, RR-SIM+,
+//! RR-CIM, MC pair-greedy) live in `uic-baselines`.
 //!
 //! Instances carry a pluggable welfare objective (utilitarian unless
 //! [`crate::WelMax::objective`] says otherwise): [`Allocator::solve`]
@@ -34,15 +36,13 @@
 //! `"mc-greedy objective=ces alpha=0.5"` via
 //! [`<dyn Allocator>::parse_with_objective`](trait.Allocator.html#method.parse_with_objective).
 
-#![allow(deprecated)] // the registry is the supported facade over the deprecated free-function engines
-
 use crate::objective::ObjectiveSpec;
 use crate::problem::WelMaxInstance;
 use std::fmt;
 use std::time::Instant;
 use uic_baselines as baselines;
 use uic_datasets::{SolverSpec, SpecError, SpecMap};
-use uic_diffusion::{ObjectiveError, SolveReport, WelfareEstimator};
+use uic_diffusion::{Allocation, ObjectiveError, SolveReport, WelfareEstimator};
 use uic_graph::NodeId;
 use uic_im::{DiffusionModel, RrCollection};
 use uic_items::{GapParams, ItemSet};
@@ -274,12 +274,62 @@ fn requires_additive(name: &'static str, inst: &WelMaxInstance) -> Result<(), Un
     }
 }
 
+/// The paper's allocation rule: item `i` gets the first `b_i` nodes of
+/// one shared ranking (all of it when `b_i` exceeds its length).
+fn prefix_allocation(order: &[NodeId], budgets: &[u32]) -> Allocation {
+    let mut allocation = Allocation::new();
+    for (item, &b) in budgets.iter().enumerate() {
+        for &v in &order[..(b as usize).min(order.len())] {
+            allocation.assign(v, item as u32);
+        }
+    }
+    allocation
+}
+
+/// The instance's budgets in non-increasing order, as PRIMA takes them.
+fn descending_budgets(inst: &WelMaxInstance) -> Vec<u32> {
+    let mut sorted = inst.budgets().to_vec();
+    sorted.sort_unstable_by(|a, b| b.cmp(a));
+    sorted
+}
+
+/// Node ids by non-increasing `score`, ties to the lower id.
+fn rank_by_score(score: &[f64]) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = (0..score.len() as NodeId).collect();
+    order.sort_by(|&a, &b| {
+        score[b as usize]
+            .partial_cmp(&score[a as usize])
+            .expect("ranking scores are finite")
+            .then(a.cmp(&b))
+    });
+    order
+}
+
 // ---------------------------------------------------------------------
 // The ten allocators.
 // ---------------------------------------------------------------------
 
-/// **bundleGRD** (Algorithm 1): one PRIMA ordering, every item seeded on
-/// its budget-prefix. Registry key `"bundle-grd"`.
+/// **bundleGRD** (Algorithm 1 of the paper). Registry key `"bundle-grd"`.
+///
+/// ```text
+/// bundleGRD(I, b̄, G, ε, ℓ):
+///   S ← PRIMA(b̄, G, ε, ℓ)                // one prefix-preserving ordering
+///   for each item i: S_i ← top-b_i nodes of S
+///   return ⋃_i (S_i × {i})
+/// ```
+///
+/// By Theorem 2 the resulting allocation attains `(1 − 1/e − ε)` of the
+/// optimal expected social welfare with probability `1 − 1/n^ℓ`, *despite*
+/// the welfare function being neither submodular nor supermodular — the
+/// block-accounting analysis (see [`crate::accounting`]) carries the proof.
+///
+/// A deliberately visible property: [`Allocator::run`] never reads the
+/// instance's **utility model**, only its graph and budgets. The
+/// guarantee requires only that the (unseen) valuation is supermodular
+/// and price/noise additive, so the same allocation is simultaneously
+/// near-optimal for *every* such utility configuration ("the power of
+/// bundling", §4.2.1). The budgets need not be sorted: PRIMA receives a
+/// sorted copy, and each item's seeds depend only on its own budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BundleGrd {
     /// PRIMA approximation parameter ε (paper default 0.5).
@@ -337,9 +387,10 @@ impl Allocator for BundleGrd {
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
-        let r = crate::bundle_grd(
+        let start = Instant::now();
+        let r = uic_im::prima(
             inst.graph(),
-            inst.budgets(),
+            &descending_budgets(inst),
             self.eps,
             self.ell,
             self.model,
@@ -347,9 +398,9 @@ impl Allocator for BundleGrd {
         );
         SolveReport {
             algorithm: self.name(),
-            allocation: r.allocation,
+            allocation: prefix_allocation(&r.order, inst.budgets()),
             welfare: None,
-            elapsed: r.elapsed,
+            elapsed: start.elapsed(),
             seed: ctx.seed,
             budgets_used: Vec::new(),
             rr_sets_final: r.rr_sets_final,
@@ -358,8 +409,16 @@ impl Allocator for BundleGrd {
     }
 }
 
-/// **item-disj** (§4.3.1.2): one IMM call at `Σ b_i`, disjoint chunks per
-/// item. Registry key `"item-disj"`.
+/// **item-disj** (§4.3.1.2, item 2): one IMM call at `Σ b_i`, disjoint
+/// chunks per item. Registry key `"item-disj"`.
+///
+/// "Given the set of items I, item-disj finds `Σ_i b_i` nodes, say L,
+/// using IMM. Then it visits items in non-increasing order of budgets,
+/// assigns item i to first `b_i` nodes and removes those `b_i` nodes from
+/// L." Every seed gets exactly one item — no bundling, so supermodular
+/// value-boosts can only arise downstream through propagation. When
+/// `Σ b_i` exceeds the node count, the items visited last get what is
+/// left (possibly nothing).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItemDisj {
     /// IMM approximation parameter ε.
@@ -417,14 +476,25 @@ impl Allocator for ItemDisj {
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
-        baselines::item_disj(
-            inst.graph(),
-            inst.budgets(),
-            self.eps,
-            self.ell,
-            self.model,
-            ctx.seed,
-        )
+        let start = Instant::now();
+        let (g, budgets) = (inst.graph(), inst.budgets());
+        let total = budgets.iter().sum::<u32>().min(g.num_nodes());
+        let imm = uic_im::imm(g, total.max(1), self.eps, self.ell, self.model, ctx.seed);
+        // Visit items largest-budget first, consuming disjoint chunks.
+        let mut items: Vec<usize> = (0..budgets.len()).collect();
+        items.sort_by(|&a, &b| budgets[b].cmp(&budgets[a]));
+        let mut allocation = Allocation::new();
+        let mut cursor = 0usize;
+        for item in items {
+            let take = (budgets[item] as usize).min(imm.seeds.len() - cursor);
+            for &v in &imm.seeds[cursor..cursor + take] {
+                allocation.assign(v, item as u32);
+            }
+            cursor += take;
+        }
+        SolveReport::new(self.name(), allocation)
+            .with_rr_sets(imm.rr_sets_final, imm.rr_sets_total)
+            .with_elapsed_since(start)
     }
 }
 
@@ -687,13 +757,11 @@ impl Allocator for Bdhs {
         let start = Instant::now();
         let g = inst.graph();
         let (bundle, utility): (ItemSet, f64) = baselines::best_bundle(inst.model());
-        let mut allocation = uic_diffusion::Allocation::new();
+        let mut allocation = Allocation::new();
         if utility > 0.0 {
             // Rank by exact step support (prob. of ≥ 1 live in-edge).
-            let mut order: Vec<NodeId> = (0..g.num_nodes()).collect();
-            let support: Vec<f64> = order
-                .iter()
-                .map(|&v| {
+            let support: Vec<f64> = (0..g.num_nodes())
+                .map(|v| {
                     1.0 - g
                         .in_arc_probs(v)
                         .iter()
@@ -701,12 +769,7 @@ impl Allocator for Bdhs {
                         .product::<f64>()
                 })
                 .collect();
-            order.sort_by(|&a, &b| {
-                support[b as usize]
-                    .partial_cmp(&support[a as usize])
-                    .expect("edge probabilities are finite")
-                    .then(a.cmp(&b))
-            });
+            let order = rank_by_score(&support);
             for item in bundle.iter() {
                 let b = inst.budgets()[item as usize] as usize;
                 for &v in &order[..b.min(order.len())] {
@@ -792,9 +855,15 @@ impl Allocator for McGreedy {
     }
 }
 
-/// **degree-top**: rank by out-degree, seed every item on its
-/// budget-prefix of the shared ranking (KKT'03 comparison point).
-/// Registry key `"degree-top"`.
+/// **degree-top**: rank by out-degree (ties to the lower id), seed every
+/// item on its budget-prefix of the shared ranking. Registry key
+/// `"degree-top"`.
+///
+/// With PageRank-top, one of the classic comparison points of the IM
+/// literature since Kempe, Kleinberg & Tardos (the paper's \[30\]): a
+/// cheap structural proxy for influence, allocated bundleGRD-style so the
+/// comparison isolates *seed quality*, not allocation shape. No spread
+/// estimation, no approximation guarantee.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegreeTop;
 
@@ -823,13 +892,22 @@ impl Allocator for DegreeTop {
     }
 
     fn run(&self, inst: &WelMaxInstance, _ctx: &SolveCtx) -> SolveReport {
-        baselines::degree_top(inst.graph(), inst.budgets())
+        let start = Instant::now();
+        let g = inst.graph();
+        let mut order: Vec<NodeId> = (0..g.num_nodes()).collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v));
+        SolveReport::new(self.name(), prefix_allocation(&order, inst.budgets()))
+            .with_elapsed_since(start)
     }
 }
 
-/// **PageRank-top**: rank by PageRank on the transposed graph, seed
-/// every item on its budget-prefix (KKT'03 comparison point).
-/// Registry key `"pagerank-top"`.
+/// **PageRank-top**: rank by [`uic_baselines::pagerank`] on the
+/// **transposed** graph (ties to the lower id), seed every item on its
+/// budget-prefix (KKT'03 comparison point). Registry key `"pagerank-top"`.
+///
+/// Influence flows along out-edges, so a node is influential when many
+/// recursively influential nodes are reachable *from* it — the mirror
+/// image of the usual prestige ranking.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankTop {
     /// Damping factor `d ∈ [0, 1)`.
@@ -880,7 +958,11 @@ impl Allocator for PageRankTop {
     }
 
     fn run(&self, inst: &WelMaxInstance, _ctx: &SolveCtx) -> SolveReport {
-        baselines::pagerank_top(inst.graph(), inst.budgets(), self.damping, self.iterations)
+        let start = Instant::now();
+        let scores = baselines::pagerank(&inst.graph().transpose(), self.damping, self.iterations);
+        let order = rank_by_score(&scores);
+        SolveReport::new(self.name(), prefix_allocation(&order, inst.budgets()))
+            .with_elapsed_since(start)
     }
 }
 
@@ -974,18 +1056,11 @@ impl WarmGrd {
         arena: &A,
     ) -> Result<SolveReport, A::Error> {
         let start = Instant::now();
-        let mut sorted: Vec<u32> = inst.budgets().to_vec();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let r = uic_im::warm_prima_on(inst.graph(), arena, &sorted, self.eps, self.ell)?;
-        let mut allocation = uic_diffusion::Allocation::new();
-        for (i, &b_i) in inst.budgets().iter().enumerate() {
-            for &v in r.seeds_for_budget(b_i) {
-                allocation.assign(v, i as u32);
-            }
-        }
+        let budgets = descending_budgets(inst);
+        let r = uic_im::warm_prima_on(inst.graph(), arena, &budgets, self.eps, self.ell)?;
         Ok(SolveReport {
             algorithm: self.name(),
-            allocation,
+            allocation: prefix_allocation(&r.order, inst.budgets()),
             welfare: None,
             elapsed: start.elapsed(),
             seed: ctx.seed,
@@ -1245,7 +1320,7 @@ mod tests {
     use crate::WelMax;
     use std::sync::Arc;
     use uic_graph::{Graph, GraphBuilder, Weighting};
-    use uic_items::{NoiseModel, Price, TableValuation, UtilityModel};
+    use uic_items::{AdditiveValuation, NoiseModel, Price, TableValuation, UtilityModel};
 
     fn two_item_model() -> UtilityModel {
         UtilityModel::new(
@@ -1646,6 +1721,143 @@ mod tests {
         // The boundaries that ARE valid still parse.
         assert!(<dyn Allocator>::parse("warm-grd eps=0.99 ell=16").is_ok());
         assert!(<dyn Allocator>::parse("pagerank-top damping=0").is_ok());
+    }
+
+    /// An instance of `budgets.len()` free items worth 1 each, in any
+    /// item order (the solvers under test never read the utilities).
+    fn free_items<'g>(g: &'g Graph, budgets: &[u32]) -> WelMaxInstance<'g> {
+        let k = budgets.len();
+        let model = UtilityModel::new(
+            Arc::new(AdditiveValuation::new(vec![1.0; k])),
+            Price::additive(vec![0.0; k]),
+            NoiseModel::none(k),
+        );
+        WelMax::on(g)
+            .model(model)
+            .budgets(budgets)
+            .any_item_order()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn bundle_grd_is_the_prefix_of_one_prima_ordering() {
+        // The registry's bundle-grd is exactly item i ↦ the top-b_i prefix
+        // of PRIMA on the sorted budgets, with PRIMA's RR-set counts —
+        // the contract callers needing the ordering itself rely on.
+        let g = hub_graph();
+        let cases: [(&[u32], DiffusionModel, u64); 5] = [
+            (&[3, 1], DiffusionModel::IC, 5),
+            (&[4, 2, 2], DiffusionModel::IC, 7),
+            (&[2, 2], DiffusionModel::LT, 11),
+            (&[3, 2], DiffusionModel::LT, 13),
+            // Unsorted: item 0 has the small budget.
+            (&[1, 3], DiffusionModel::IC, 9),
+        ];
+        for (budgets, model, seed) in cases {
+            let inst = free_items(&g, budgets);
+            let spec = format!("bundle-grd eps=0.4 model={}", model_str(model));
+            let report = <dyn Allocator>::parse(&spec)
+                .unwrap()
+                .run(&inst, &SolveCtx::new(seed));
+            let mut sorted = budgets.to_vec();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            let p = uic_im::prima(&g, &sorted, 0.4, 1.0, model, seed);
+            let prefixes: Vec<Vec<NodeId>> = budgets
+                .iter()
+                .map(|&b| p.seeds_for_budget(b).to_vec())
+                .collect();
+            let case = format!("{spec} {budgets:?}");
+            assert_eq!(
+                report.allocation,
+                Allocation::from_item_seeds(&prefixes),
+                "{case}"
+            );
+            assert_eq!(report.rr_sets_final, p.rr_sets_final, "{case}");
+            assert_eq!(report.rr_sets_total, p.rr_sets_total, "{case}");
+            assert!(report.rr_sets_final > 0, "{case}");
+            assert!(
+                report.rr_sets_total >= report.rr_sets_final as u64,
+                "{case}"
+            );
+            assert!(report.elapsed.as_nanos() > 0, "{case}");
+            // Every budget is spent, and the two hubs lead the ordering.
+            assert_eq!(report.allocation.budgets_used(inst.num_items()), budgets);
+            let mut top2 = p.order[..2].to_vec();
+            top2.sort_unstable();
+            assert_eq!(top2, vec![0, 1], "{case}: the two hubs dominate");
+        }
+    }
+
+    #[test]
+    fn disjoint_chunks_per_item_in_item_disj() {
+        let hubs = hub_graph();
+        let path = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
+        // (graph, budgets, seed, the item visited first when it must get
+        // the top hub).
+        let cases: [(&Graph, &[u32], u64, Option<u32>); 4] = [
+            (&hubs, &[3, 2], 3, Some(0)),
+            // Item 1 has the larger budget, so it is visited first.
+            (&hubs, &[1, 3], 5, Some(1)),
+            (&hubs, &[4, 2, 1], 7, Some(0)),
+            // Σ b_i exceeds n: the item visited last gets the leftovers.
+            (&path, &[3, 3], 9, None),
+        ];
+        for (g, budgets, seed, first) in cases {
+            let inst = free_items(g, budgets);
+            let solver = <dyn Allocator>::parse("item-disj eps=0.4").unwrap();
+            let ctx = SolveCtx::new(seed);
+            let report = solver.run(&inst, &ctx);
+            assert_eq!(report.allocation, solver.run(&inst, &ctx).allocation);
+            let a = &report.allocation;
+            let case = format!("{budgets:?} on n={}", g.num_nodes());
+            assert!(a.respects_budgets(budgets), "{case}");
+            assert_eq!(a.num_pairs(), a.num_seed_nodes(), "{case}: a shared seed");
+            let total: u32 = budgets.iter().sum();
+            assert_eq!(a.num_pairs() as u32, total.min(g.num_nodes()), "{case}");
+            if let Some(item) = first {
+                assert!(a.seeds_of_item(item).contains(&0), "{case}: top hub");
+            }
+        }
+    }
+
+    #[test]
+    fn ranking_heuristics_seed_budget_prefixes() {
+        // Node 0 points at many; node 15 at two.
+        let mut b = GraphBuilder::new(20);
+        for leaf in 1..15u32 {
+            b.add_edge(0, leaf, 0.5);
+        }
+        b.add_edge(15, 16, 0.5);
+        b.add_edge(15, 17, 0.5);
+        let star = b.build(Weighting::AsGiven, 0);
+        // Node 0 points at many; many point at node 19. On the transpose
+        // node 0 is the prestige sink, so pagerank-top must rank 0 first —
+        // out-influence, not in-popularity.
+        let mut b = GraphBuilder::new(20);
+        for leaf in 1..10u32 {
+            b.add_edge(0, leaf, 0.5);
+        }
+        for fan in 10..19u32 {
+            b.add_edge(fan, 19, 0.5);
+        }
+        let fan_in = b.build(Weighting::AsGiven, 0);
+        let check = |spec: &str, g: &Graph, budgets: &[u32], expected: &[&[NodeId]]| {
+            let report = <dyn Allocator>::parse(spec)
+                .unwrap()
+                .run(&free_items(g, budgets), &SolveCtx::new(1));
+            for (item, seeds) in expected.iter().enumerate() {
+                assert_eq!(
+                    report.allocation.seeds_of_item(item as u32),
+                    *seeds,
+                    "{spec} {budgets:?} item {item}"
+                );
+            }
+        };
+        // Hub, then the secondary hub, then ties by lower id.
+        check("degree-top", &star, &[2, 1], &[&[0, 15], &[0]]);
+        check("degree-top", &star, &[3, 1], &[&[0, 1, 15], &[0]]);
+        check("pagerank-top iterations=100", &fan_in, &[1], &[&[0]]);
     }
 
     #[test]

@@ -18,19 +18,21 @@
 //! * **The IM algorithm zoo** — IMM / TIM⁺ / SSA / OPIM-C / SKIM /
 //!   high-degree / PageRank head-to-head at one budget.
 //! * **bundleGRD vs direct pair-greedy** — the naive greedy on ρ itself.
+//!
+//! Allocations come from the solver registry (bundleGRD under LT, the
+//! heuristics and item-disj included); the raw IM algorithms and the
+//! pair-greedy engine are called directly where an ablation needs their
+//! orderings, RR-set counts or a custom candidate pool.
 
-// The ablations deliberately drive the raw engine functions (custom
-// diffusion models, candidate pools, per-budget orderings) below the
-// registry facade.
-#![allow(deprecated)]
-
-use crate::common::{fmt, network, score_welfare, ExpOptions};
+use crate::common::{fmt, network, run_algo_unscored, score_welfare, Algo, ExpOptions};
 use std::sync::Arc;
-use uic_core::bundle_grd;
+use uic_baselines::mc_greedy_welfare_for;
+use uic_core::solver::{BundleGrd, DegreeTop, PageRankTop};
+use uic_core::{Allocator, WelMax};
 use uic_datasets::{NamedNetwork, TwoItemConfig};
-use uic_diffusion::{personalized_welfare_mc, Allocation, WelfareEstimator};
+use uic_diffusion::{default_objective, personalized_welfare_mc, Allocation, WelfareEstimator};
 use uic_im::{imm, opim_c, prima, skim, ssa, tim_plus, DiffusionModel, RrCollection, SkimOptions};
-use uic_items::{CoverageValuation, NoiseModel, Price, UtilityModel};
+use uic_items::{AdditiveValuation, CoverageValuation, NoiseModel, Price, UtilityModel};
 use uic_util::Table;
 
 /// bundleGRD under IC vs LT on the Flixster stand-in (Config 1 model).
@@ -50,27 +52,32 @@ pub fn ablation_triggering_model(opts: &ExpOptions) -> Table {
     );
     for k in [10u32, 30, 50] {
         let k = k.min(n);
-        let budgets = [k, k];
-        let ic = bundle_grd(
-            &g,
-            &budgets,
-            opts.eps,
-            opts.ell,
-            DiffusionModel::IC,
-            opts.seed,
-        );
-        let lt = bundle_grd(
-            &g,
-            &budgets,
-            opts.eps,
-            opts.ell,
-            DiffusionModel::LT,
-            opts.seed,
-        );
+        let inst = WelMax::on(&g)
+            .model(model.clone())
+            .budgets([k, k])
+            .build()
+            .expect("1 ≤ k ≤ n");
+        let ic = BundleGrd {
+            eps: opts.eps,
+            ell: opts.ell,
+            model: DiffusionModel::IC,
+        };
+        let lt = BundleGrd {
+            model: DiffusionModel::LT,
+            ..ic
+        };
+        let ic = ic.run(&inst, &opts.solve_ctx()).allocation;
+        let lt = lt.run(&inst, &opts.solve_ctx()).allocation;
         // Score both allocations under the same (IC-based) UIC welfare.
-        let w_ic = score_welfare(&g, &model, &ic.allocation, opts);
-        let w_lt = score_welfare(&g, &model, &lt.allocation, opts);
-        let overlap = ic.order.iter().filter(|v| lt.order.contains(v)).count();
+        let w_ic = score_welfare(&g, &model, &ic, opts);
+        let w_lt = score_welfare(&g, &model, &lt, opts);
+        // Both items hold the whole ordering, so item 0's seeds are it.
+        let lt_seeds = lt.seeds_of_item(0);
+        let overlap = ic
+            .seeds_of_item(0)
+            .iter()
+            .filter(|v| lt_seeds.contains(v))
+            .count();
         t.push_row(vec![
             k.to_string(),
             fmt(w_ic),
@@ -109,14 +116,7 @@ pub fn ablation_submodular_prices(opts: &ExpOptions) -> Table {
     );
     for k in [10u32, 30, 50] {
         let k = k.min(n);
-        let r = bundle_grd(
-            &g,
-            &[k, k],
-            opts.eps,
-            opts.ell,
-            DiffusionModel::IC,
-            opts.seed,
-        );
+        let r = run_algo_unscored(Algo::BundleGrd, &g, &[k, k], &base, opts);
         let w_add = score_welfare(&g, &base, &r.allocation, opts);
         let w_disc = score_welfare(&g, &discounted, &r.allocation, opts);
         t.push_row(vec![k.to_string(), fmt(w_add), fmt(w_disc)]);
@@ -136,14 +136,7 @@ pub fn ablation_personalized_noise(opts: &ExpOptions) -> Table {
     );
     for k in [10u32, 30, 50] {
         let k = k.min(n);
-        let r = bundle_grd(
-            &g,
-            &[k, k],
-            opts.eps,
-            opts.ell,
-            DiffusionModel::IC,
-            opts.seed,
-        );
+        let r = run_algo_unscored(Algo::BundleGrd, &g, &[k, k], &model, opts);
         let pop = WelfareEstimator::new(&g, &model, opts.sims, opts.seed).estimate(&r.allocation);
         let pers = personalized_welfare_mc(&g, &r.allocation, &model, opts.sims, opts.seed).mean();
         t.push_row(vec![k.to_string(), fmt(pop), fmt(pers)]);
@@ -169,22 +162,8 @@ pub fn ablation_competition(opts: &ExpOptions) -> Table {
     );
     for k in [10u32, 30] {
         let k = k.min(n / 2);
-        let bundled = bundle_grd(
-            &g,
-            &[k, k],
-            opts.eps,
-            opts.ell,
-            DiffusionModel::IC,
-            opts.seed,
-        );
-        let disj = uic_baselines::item_disj(
-            &g,
-            &[k, k],
-            opts.eps,
-            opts.ell,
-            DiffusionModel::IC,
-            opts.seed,
-        );
+        let bundled = run_algo_unscored(Algo::BundleGrd, &g, &[k, k], &model, opts);
+        let disj = run_algo_unscored(Algo::ItemDisj, &g, &[k, k], &model, opts);
         let w_bundled = score_welfare(&g, &model, &bundled.allocation, opts);
         let w_disj = score_welfare(&g, &model, &disj.allocation, opts);
         t.push_row(vec![k.to_string(), fmt(w_bundled), fmt(w_disj)]);
@@ -238,20 +217,13 @@ pub fn ablation_welfare_vs_adoption(opts: &ExpOptions) -> Table {
     let cfg = TwoItemConfig::new(3);
     let model = cfg.model();
     let k = 20u32.min(n);
-    let r = bundle_grd(
-        &g,
-        &[k, k],
-        opts.eps,
-        opts.ell,
-        DiffusionModel::IC,
-        opts.seed,
-    );
+    let r = run_algo_unscored(Algo::BundleGrd, &g, &[k, k], &model, opts);
     let est = WelfareEstimator::new(&g, &model, opts.sims, opts.seed);
     let welfare = est.estimate(&r.allocation);
     let adoptions = est.estimate_adoptions(&r.allocation);
     // A bad-welfare allocation can still have adoption volume: seed only
     // the cheap positive item everywhere.
-    let single: Allocation = Allocation::from_item_seeds(&[r.order.clone(), vec![]]);
+    let single: Allocation = Allocation::from_item_seeds(&[r.allocation.seeds_of_item(0), vec![]]);
     let w_single = est.estimate(&single);
     let a_single = est.estimate_adoptions(&single);
     let mut t = Table::new(
@@ -388,8 +360,19 @@ pub fn ablation_im_algorithms(opts: &ExpOptions) -> Table {
         SkimOptions::default().num_instances as u64,
         clock.elapsed().as_secs_f64() * 1e3,
     );
+    // The heuristics run through the registry on a one-item instance
+    // (one free item of value 1: welfare is spread, Proposition 1).
+    let inst = WelMax::on(&g)
+        .model(UtilityModel::new(
+            Arc::new(AdditiveValuation::new(vec![1.0])),
+            Price::additive(vec![0.0]),
+            NoiseModel::none(1),
+        ))
+        .budgets([k])
+        .build()
+        .expect("1 ≤ k ≤ n");
     let clock = std::time::Instant::now();
-    let r = uic_baselines::degree_top(&g, &[k]);
+    let r = DegreeTop.run(&inst, &opts.solve_ctx());
     push(
         "high-degree",
         &r.allocation.seeds_of_item(0),
@@ -397,7 +380,11 @@ pub fn ablation_im_algorithms(opts: &ExpOptions) -> Table {
         clock.elapsed().as_secs_f64() * 1e3,
     );
     let clock = std::time::Instant::now();
-    let r = uic_baselines::pagerank_top(&g, &[k], 0.85, 50);
+    let r = PageRankTop {
+        damping: 0.85,
+        iterations: 50,
+    }
+    .run(&inst, &opts.solve_ctx());
     push(
         "PageRank",
         &r.allocation.seeds_of_item(0),
@@ -424,14 +411,7 @@ pub fn ablation_pair_greedy(opts: &ExpOptions) -> Table {
     let k = 5u32.min(n);
     let budgets = [k, k];
     let clock = std::time::Instant::now();
-    let bg = bundle_grd(
-        &g,
-        &budgets,
-        opts.eps,
-        opts.ell,
-        DiffusionModel::IC,
-        opts.seed,
-    );
+    let bg = run_algo_unscored(Algo::BundleGrd, &g, &budgets, &model, opts);
     let bg_ms = clock.elapsed().as_secs_f64() * 1e3;
     // Pair-greedy over a degree-preselected candidate pool (the full
     // pool is quadratic; this is already orders of magnitude slower).
@@ -442,8 +422,16 @@ pub fn ablation_pair_greedy(opts: &ExpOptions) -> Table {
         order
     };
     let clock = std::time::Instant::now();
-    let pg =
-        uic_baselines::mc_greedy_welfare(&g, &model, &budgets, &pool, opts.sims / 4, opts.seed);
+    let pg = mc_greedy_welfare_for(
+        &g,
+        &model,
+        &budgets,
+        &pool,
+        opts.sims / 4,
+        opts.seed,
+        default_objective(),
+    )
+    .expect("the utilitarian objective fits every graph");
     let pg_ms = clock.elapsed().as_secs_f64() * 1e3;
     let mut t = Table::new(
         "Ablation: bundleGRD vs direct pair-greedy on welfare (Config 3)",

@@ -1,16 +1,11 @@
 //! Regenerators for Tables 2–6 of the paper.
 
-// Table 6 compares RR-set counts of the raw engines below the registry
-// facade.
-#![allow(deprecated)]
-
-use crate::common::{network, Algo, ExpOptions};
-use uic_core::bundle_grd;
+use crate::common::{network, ExpOptions};
 use uic_datasets::{
     auction, budget_splits, network_stats_table, real_params_table, Config, NamedNetwork,
     TwoItemConfig,
 };
-use uic_im::{imm, DiffusionModel};
+use uic_im::{imm, prima, DiffusionModel};
 use uic_util::Table;
 
 /// **Table 2**: statistics of the stand-in networks.
@@ -124,8 +119,10 @@ pub fn table6(opts: &ExpOptions) -> Table {
     ];
     for (name, budgets) in distros {
         let n = g.num_nodes();
+        // The splits come sorted non-increasing, as PRIMA takes them;
+        // bundleGRD's RR-set count is that of its one PRIMA run.
         let budgets: Vec<u32> = budgets.iter().map(|&b| b.min(n)).collect();
-        let bg = bundle_grd(
+        let bg = prima(
             &g,
             &budgets,
             opts.eps,
@@ -160,7 +157,6 @@ pub fn table6(opts: &ExpOptions) -> Table {
             imm_max.to_string(),
         ]);
     }
-    let _ = Algo::BundleGrd;
     t
 }
 

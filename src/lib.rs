@@ -12,8 +12,8 @@
 //! | [`items`] | itemsets, prices, supermodular valuations, noise, utility, adoption oracle, block accounting, GAP conversion |
 //! | [`diffusion`] | IC / LT / UIC / Com-IC simulation, possible worlds, welfare estimation, [`SolveReport`](diffusion::SolveReport) |
 //! | [`im`] | RR sets, NodeSelection, IMM, TIM⁺, SSA, OPIM-C, SKIM, **PRIMA**, CELF greedy |
-//! | [`core`] | WelMax, **bundleGRD**, the [`Allocator`](core::Allocator) registry, block-accounting bounds, brute-force solver |
-//! | [`baselines`] | item-disj, bundle-disj, RR-SIM+, RR-CIM, BDHS, pair-greedy, degree/PageRank |
+//! | [`core`] | WelMax, **bundleGRD**, the [`Allocator`](core::Allocator) registry (every solver's entry point), block-accounting bounds, brute-force solver |
+//! | [`baselines`] | engines of bundle-disj, RR-SIM+, RR-CIM, BDHS and pair-greedy; PageRank |
 //! | [`datasets`] | Table-2 network stand-ins, Table-3/4/5 configurations, config text format, auction learning |
 //! | [`experiments`] | regenerators for every table and figure |
 //! | [`util`] | hashing, bitsets, RNG, special functions, stats, tables |

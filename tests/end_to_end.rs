@@ -138,16 +138,16 @@ fn lemma5_decomposition_agrees_with_mc_welfare_at_scale() {
         NoiseModel::none(2),
     );
     let budgets = [12u32, 8];
-    // The Lemma 5 decomposition needs the PRIMA ordering itself, which
-    // only the engine-level entry point exposes.
-    #[allow(deprecated)]
-    let greedy = uic::core::bundle_grd(&g, &budgets, 0.3, 1.0, DiffusionModel::IC, 4);
+    // The Lemma 5 decomposition needs the PRIMA ordering itself; the
+    // greedy allocation is its top-b_i prefix per item, exactly what the
+    // registry's bundle-grd returns (pinned in uic-core's solver tests).
+    let order = prima(&g, &budgets, 0.3, 1.0, DiffusionModel::IC, 4).order;
+    let greedy = Allocation::from_item_seeds(&budgets.map(|b| order[..b as usize].to_vec()));
     let table = model.deterministic_table();
-    let decomposed =
-        uic::core::greedy_welfare_decomposition(&table, &budgets, &greedy.order, |seeds| {
-            spread_mc(&g, seeds, 4_000, 21)
-        });
-    let mc = WelfareEstimator::new(&g, &model, 4_000, 22).estimate(&greedy.allocation);
+    let decomposed = uic::core::greedy_welfare_decomposition(&table, &budgets, &order, |seeds| {
+        spread_mc(&g, seeds, 4_000, 21)
+    });
+    let mc = WelfareEstimator::new(&g, &model, 4_000, 22).estimate(&greedy);
     let rel = (decomposed - mc).abs() / mc.max(1.0);
     assert!(
         rel < 0.08,

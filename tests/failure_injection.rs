@@ -100,20 +100,33 @@ fn noise_model_arity_is_enforced_at_model_assembly() {
 // Allocator boundaries
 // ---------------------------------------------------------------------
 
+/// A two-item instance on `g` (the allocators below never read the
+/// utilities, but an instance carries them).
+fn two_item_instance(g: &Graph, budgets: [u32; 2]) -> WelMaxInstance<'_> {
+    let model = UtilityModel::new(
+        Arc::new(TableValuation::from_table(2, vec![0.0, 2.0, 2.0, 5.0])),
+        Price::additive(vec![1.0, 1.0]),
+        NoiseModel::none(2),
+    );
+    WelMax::on(g).model(model).budgets(budgets).build().unwrap()
+}
+
 #[test]
-#[allow(deprecated)] // boundary test on the engine entry point
 fn bundle_grd_with_budget_equal_to_n_seeds_everyone() {
     let g = Graph::from_edges(4, &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)]);
-    let r = uic::core::bundle_grd(&g, &[4, 2], 0.5, 1.0, DiffusionModel::IC, 1);
+    let r = <dyn Allocator>::by_name("bundle-grd")
+        .unwrap()
+        .run(&two_item_instance(&g, [4, 2]), &SolveCtx::new(1));
     assert_eq!(r.allocation.seeds_of_item(0).len(), 4);
     assert_eq!(r.allocation.seeds_of_item(1).len(), 2);
 }
 
 #[test]
-#[allow(deprecated)] // boundary test on the engine entry point
 fn item_disj_survives_total_budget_exceeding_n() {
     let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
-    let r = uic::baselines::item_disj(&g, &[3, 3], 0.5, 1.0, DiffusionModel::IC, 1);
+    let r = <dyn Allocator>::by_name("item-disj")
+        .unwrap()
+        .run(&two_item_instance(&g, [3, 3]), &SolveCtx::new(1));
     assert!(r.allocation.num_seed_nodes() <= 3);
     assert!(r.allocation.respects_budgets(&[3, 3]));
 }
@@ -127,7 +140,6 @@ fn prima_rejects_budget_above_n() {
 
 #[test]
 #[should_panic(expected = "non-empty candidate")]
-#[allow(deprecated)] // boundary test on the engine entry point
 fn pair_greedy_rejects_empty_candidate_pool() {
     let g = Graph::from_edges(2, &[(0, 1, 0.5)]);
     let model = UtilityModel::new(
@@ -135,7 +147,9 @@ fn pair_greedy_rejects_empty_candidate_pool() {
         Price::additive(vec![1.0]),
         NoiseModel::none(1),
     );
-    uic::baselines::mc_greedy_welfare(&g, &model, &[1], &[], 10, 1);
+    let inst = WelMax::on(&g).model(model).budgets([1u32]).build().unwrap();
+    // A zero-size pool preselects no candidates at all.
+    uic::core::solver::McGreedy { sims: 10, pool: 0 }.run(&inst, &SolveCtx::new(1));
 }
 
 // ---------------------------------------------------------------------
