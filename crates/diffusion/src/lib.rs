@@ -15,11 +15,12 @@
 //!   instance, plus forward simulation and MC spread.
 //! * [`worlds`] — sampled live-edge worlds `W^E` and their enumeration
 //!   with probabilities (the possible-world semantics of §4.1.1).
-//! * [`engine`] — the dense, epoch-stamped cascade engine of the UIC
-//!   simulators: flat per-node state ([`uic_util::EpochMap`]), live
-//!   out-edge spans per expanded node (no per-edge memo), frontier
-//!   double-buffer, and the [`engine::EdgeOracle`] trait unifying lazy
-//!   sampling with fixed-world replay. Zero allocation per cascade after
+//! * [`engine`] — the one UIC cascade kernel ([`CascadeState`]): one
+//!   stamped record per node, live out-edge spans per expanded node (no
+//!   per-edge memo), integer-threshold coins keyed by weight class, an
+//!   ordered outcome from a two-level bitset, and the
+//!   [`engine::EdgeOracle`] trait unifying lazy sampling with
+//!   fixed-world replay. The kernel allocates nothing per cascade after
 //!   warm-up.
 //! * [`uic`] — the paper's multi-item **utility-driven IC** diffusion
 //!   (Fig. 1): desire/adoption sets, one-shot edge tests, per-noise-world

@@ -13,18 +13,18 @@
 //! `(diffusion seed, node id)`, so simulations remain replayable; since
 //! there is no shared utility table, adoption decisions evaluate
 //! `V(T) − P(T) + N_v(T)` directly over the (small) candidate subsets.
-//! Per-cascade state is dense and epoch-stamped like the base engine:
-//! `(desire, adopted)` pairs in an [`EpochMap`], realized noise in a flat
-//! `n × |I|` array, and live out-edge spans per expanded node in the
-//! engine's `LiveLists` — no hashing or allocation inside the cascade loop.
-//! `rng` feeds only edge coins (noise comes from `noise_seed`), so a node's
-//! out-edges are all flipped, in order, at its first expansion.
+//! The cascade itself is the engine's one kernel
+//! ([`crate::engine::CascadeState`]), with per-node noise as its adoption
+//! rule: realized noise lives in a flat `n × |I|` array, written on first
+//! contact. `rng` feeds only edge coins (noise comes from `noise_seed`),
+//! so a node's out-edges are all flipped, in order, at its first
+//! expansion, exactly as in the base simulator.
 
 use crate::allocation::Allocation;
-use crate::engine::{LazyCoins, LiveLists};
+use crate::engine::{AdoptionRule, CascadeState, LazyCoins};
 use uic_graph::{Graph, NodeId};
 use uic_items::{ItemSet, UtilityModel};
-use uic_util::{split_seed, EpochMap, OnlineStats, UicRng, VisitTags};
+use uic_util::{split_seed, OnlineStats, UicRng};
 
 /// Outcome of one personalized-noise UIC diffusion, sorted by node id.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -56,71 +56,61 @@ impl PersonalizedOutcome {
     }
 }
 
-/// Per-node diffusion state (noise lives in the simulator's flat array).
-#[derive(Debug, Clone, Copy, Default)]
-struct PersNodeState {
-    desire: ItemSet,
-    adopted: ItemSet,
-}
-
 /// Reusable personalized-noise simulator: dense per-cascade scratch for
 /// one `(graph, item-universe)` pair.
 pub struct PersonalizedSimulator {
     num_items: usize,
-    state: EpochMap<PersNodeState>,
     /// Realized noise per `(node, item)`, row-major; valid only for nodes
-    /// stamped in `state` this cascade.
+    /// informed in the current cascade.
     noise: Box<[f64]>,
-    live: LiveLists,
-    /// Nodes informed this cascade, in first-contact order.
-    informed: Vec<NodeId>,
-    frontier: Vec<NodeId>,
-    next_frontier: Vec<NodeId>,
-    step_tags: VisitTags,
-    step_touched: Vec<NodeId>,
-    seed_buf: Vec<(NodeId, ItemSet)>,
+    state: CascadeState,
 }
 
-impl PersonalizedSimulator {
-    /// Scratch sized for graph `g` and `num_items` items.
-    pub fn new(g: &Graph, num_items: u32) -> PersonalizedSimulator {
-        let n = g.num_nodes() as usize;
-        PersonalizedSimulator {
-            num_items: num_items as usize,
-            state: EpochMap::new(n),
-            noise: vec![0.0; n * num_items as usize].into_boxed_slice(),
-            live: LiveLists::new(n),
-            informed: Vec::new(),
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
-            step_tags: VisitTags::new(n),
-            step_touched: Vec::new(),
-            seed_buf: Vec::new(),
+/// The personalized adoption rule: each node draws its own noise vector
+/// on first contact and decides on `V − P + N_v`.
+struct PersonalNoise<'a> {
+    model: &'a UtilityModel,
+    noise: &'a mut [f64],
+    num_items: usize,
+    noise_seed: u64,
+}
+
+impl PersonalNoise<'_> {
+    fn row(&self, v: NodeId) -> &[f64] {
+        let k = self.num_items;
+        &self.noise[v as usize * k..(v as usize + 1) * k]
+    }
+
+    /// `v`'s realized utility of `s`: `V(s) − P(s) + N_v(s)`.
+    fn utility(&self, v: NodeId, s: ItemSet) -> f64 {
+        let row = self.row(v);
+        self.model.deterministic_utility(s) + s.iter().map(|i| row[i as usize]).sum::<f64>()
+    }
+}
+
+impl AdoptionRule for PersonalNoise<'_> {
+    /// Draws `v`'s personal noise vector from its own deterministic
+    /// stream (independent of contact order).
+    fn contact(&mut self, v: NodeId) {
+        let k = self.num_items;
+        let mut node_rng = UicRng::new(split_seed(self.noise_seed, v as u64));
+        for (i, slot) in self.noise[v as usize * k..(v as usize + 1) * k]
+            .iter_mut()
+            .enumerate()
+        {
+            *slot = self.model.noise().dist(i as u32).sample(&mut node_rng);
         }
     }
 
-    /// First contact: draw this node's personal noise vector from its own
-    /// deterministic stream (independent of contact order).
-    fn sample_noise(noise: &mut [f64], model: &UtilityModel, noise_seed: u64, v: NodeId) {
-        let mut node_rng = UicRng::new(split_seed(noise_seed, v as u64));
-        for (i, slot) in noise.iter_mut().enumerate() {
-            *slot = model.noise().dist(i as u32).sample(&mut node_rng);
-        }
-    }
-
-    /// The personalized adoption decision: enumerate supersets of
-    /// `adopted` inside `desire`, maximizing `V − P + N_v` with the
-    /// larger-cardinality (union) tie-break.
-    fn decide(model: &UtilityModel, noise: &[f64], desire: ItemSet, adopted: ItemSet) -> ItemSet {
-        let util = |s: ItemSet| -> f64 {
-            model.deterministic_utility(s) + s.iter().map(|i| noise[i as usize]).sum::<f64>()
-        };
+    /// Enumerates supersets of `adopted` inside `desire`, maximizing
+    /// `V − P + N_v` with the larger-cardinality (union) tie-break.
+    fn adopt(&mut self, v: NodeId, desire: ItemSet, adopted: ItemSet) -> ItemSet {
         let free = desire.minus(adopted);
         let mut best = f64::NEG_INFINITY;
         let mut best_union = ItemSet::EMPTY;
         for x in free.subsets() {
             let t = adopted.union(x);
-            let u = util(t);
+            let u = self.utility(v, t);
             if u > best + 1e-9 {
                 best = u;
                 best_union = t;
@@ -132,6 +122,18 @@ impl PersonalizedSimulator {
             adopted
         } else {
             best_union
+        }
+    }
+}
+
+impl PersonalizedSimulator {
+    /// Scratch sized for graph `g` and `num_items` items.
+    pub fn new(g: &Graph, num_items: u32) -> PersonalizedSimulator {
+        let n = g.num_nodes() as usize;
+        PersonalizedSimulator {
+            num_items: num_items as usize,
+            noise: vec![0.0; n * num_items as usize].into_boxed_slice(),
+            state: CascadeState::new(g),
         }
     }
 
@@ -147,90 +149,30 @@ impl PersonalizedSimulator {
         noise_seed: u64,
         rng: &mut UicRng,
     ) -> PersonalizedOutcome {
-        let k = self.num_items;
-        debug_assert_eq!(k, model.num_items() as usize, "item universe mismatch");
-        self.state.reset();
-        self.live.reset();
-        let mut coins = LazyCoins { rng };
-        self.informed.clear();
-        self.frontier.clear();
-        self.next_frontier.clear();
-
-        self.seed_buf.clear();
-        self.seed_buf
-            .extend(allocation.seeds().filter(|(_, items)| !items.is_empty()));
-        self.seed_buf.sort_unstable_by_key(|&(v, _)| v);
-        for si in 0..self.seed_buf.len() {
-            let (v, items) = self.seed_buf[si];
-            let row = &mut self.noise[v as usize * k..(v as usize + 1) * k];
-            Self::sample_noise(row, model, noise_seed, v);
-            let adopted = Self::decide(model, row, items, ItemSet::EMPTY);
-            self.state.insert(
-                v as usize,
-                PersNodeState {
-                    desire: items,
-                    adopted,
-                },
-            );
-            self.informed.push(v);
-            if !adopted.is_empty() {
-                self.frontier.push(v);
-            }
-        }
-
-        while !self.frontier.is_empty() {
-            self.step_touched.clear();
-            self.step_tags.reset();
-            for fi in 0..self.frontier.len() {
-                let u = self.frontier[fi];
-                let a_u = self.state.get_or_default(u as usize).adopted;
-                for &v in self.live.live_out(g, u, &mut coins) {
-                    let (_, fresh) = self.state.slot(v as usize);
-                    if fresh {
-                        self.informed.push(v);
-                        let row = &mut self.noise[v as usize * k..(v as usize + 1) * k];
-                        Self::sample_noise(row, model, noise_seed, v);
-                    }
-                    let st = self.state.get_mut(v as usize).expect("just stamped");
-                    let grown = a_u.minus(st.desire);
-                    if !grown.is_empty() {
-                        st.desire = st.desire.union(a_u);
-                        if self.step_tags.mark(v as usize) {
-                            self.step_touched.push(v);
-                        }
-                    }
-                }
-            }
-            self.next_frontier.clear();
-            for ti in 0..self.step_touched.len() {
-                let v = self.step_touched[ti];
-                let st = self
-                    .state
-                    .get(v as usize)
-                    .expect("touched node must have state");
-                let row = &self.noise[v as usize * k..(v as usize + 1) * k];
-                let decision = Self::decide(model, row, st.desire, st.adopted);
-                if decision != st.adopted {
-                    self.state.get_mut(v as usize).unwrap().adopted = decision;
-                    self.next_frontier.push(v);
-                }
-            }
-            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-        }
-
-        self.informed.sort_unstable();
+        debug_assert_eq!(
+            self.num_items,
+            model.num_items() as usize,
+            "item universe mismatch"
+        );
+        let mut rule = PersonalNoise {
+            model,
+            noise: &mut self.noise,
+            num_items: self.num_items,
+            noise_seed,
+        };
         let mut out = PersonalizedOutcome::default();
-        for &v in &self.informed {
-            let st = self.state.get_or_default(v as usize);
-            if st.adopted.is_empty() {
-                continue;
-            }
-            let row = &self.noise[v as usize * k..(v as usize + 1) * k];
-            let u = model.deterministic_utility(st.adopted)
-                + st.adopted.iter().map(|i| row[i as usize]).sum::<f64>();
-            out.adoptions.push((v, st.adopted));
-            out.node_welfare.push((v, u));
-        }
+        self.state.cascade(
+            g,
+            allocation,
+            &mut LazyCoins { rng },
+            &mut rule,
+            |rule, v, _, adopted| {
+                if !adopted.is_empty() {
+                    out.adoptions.push((v, adopted));
+                    out.node_welfare.push((v, rule.utility(v, adopted)));
+                }
+            },
+        );
         out
     }
 }

@@ -39,6 +39,7 @@
 //! and the `cascade_kernel` suite (every split of 1–130 samples).
 
 use crate::allocation::Allocation;
+use crate::engine::{CascadeState, LazyCoins};
 use crate::objective::{default_objective, WelfareObjective};
 use crate::uic::{UicOutcome, UicSimulator};
 use crate::worlds::enumerate_edge_worlds;
@@ -228,7 +229,9 @@ impl<'a> WelfareEstimator<'a> {
     /// Sample `s` draws its noise world and its edge coins from its own
     /// stream `split_seed(seed, s)`. Workers own contiguous sample
     /// ranges and write straight into their slice of the result, so the
-    /// values do not depend on the thread count. Workers are sized by
+    /// values do not depend on the thread count. Each worker runs one
+    /// [`CascadeState`] and refills one outcome buffer, so its cascades
+    /// allocate nothing. Workers are sized by
     /// graph work (`(n + m) · samples` against [`Self::WORK_GRAIN`]),
     /// not by sample count: a handful of samples on a million-node graph
     /// is worth several cores, thousands on a toy graph are not.
@@ -249,17 +252,21 @@ impl<'a> WelfareEstimator<'a> {
         let model = self.model;
         let seed = self.seed;
         let run = |lo: u32, out: &mut [f64]| {
-            let mut sim = UicSimulator::new(graph);
+            let mut state = CascadeState::new(graph);
+            let mut outcome = UicOutcome::default();
             for (s, slot) in (lo..).zip(out.iter_mut()) {
                 let mut rng = UicRng::new(split_seed(seed, s as u64));
-                *slot = match &shared_table {
-                    Some(table) => value(&sim.run(graph, allocation, table, &mut rng), table),
+                let noise_table;
+                let table = match &shared_table {
+                    Some(table) => table,
                     None => {
-                        let world = model.sample_noise(&mut rng);
-                        let table = model.table_for(&world);
-                        value(&sim.run(graph, allocation, &table, &mut rng), &table)
+                        noise_table = model.table_for(&model.sample_noise(&mut rng));
+                        &noise_table
                     }
                 };
+                let mut coins = LazyCoins { rng: &mut rng };
+                state.run_into(graph, allocation, table, &mut coins, &mut outcome);
+                *slot = value(&outcome, table);
             }
         };
         let mut values = vec![0.0; count];

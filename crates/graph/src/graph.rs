@@ -1,6 +1,7 @@
 //! The CSR [`Graph`] type and its compressed weight storage.
 
 use crate::storage::SectionStorage;
+use uic_util::prefetch;
 
 /// Node identifier. `u32` keeps adjacency arrays half the size of `usize`
 /// and comfortably addresses the multi-million-node stand-in networks.
@@ -196,21 +197,6 @@ impl<'g> ArcProbs<'g> {
     pub fn iter(self) -> impl Iterator<Item = f32> + 'g {
         (0..self.len()).map(move |i| self.get(i))
     }
-}
-
-/// Asks the CPU to pull the cache line holding `p` into L1. Any address
-/// is allowed, even one past a slice's end: a prefetch never faults and
-/// has no observable effect besides timing. A no-op off x86-64.
-#[inline(always)]
-fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `prefetcht0` is a cache hint with no memory-safety
-    // preconditions; it never dereferences `p` architecturally.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 /// Per-section heap usage of a graph, in bytes (see
@@ -579,6 +565,25 @@ impl Graph {
         let first = self.in_from.as_ptr().wrapping_add(lo);
         prefetch(first);
         prefetch(first.wrapping_add(64 / std::mem::size_of::<NodeId>()));
+    }
+
+    /// Hints that `u`'s out-list bounds will be read soon: pulls the
+    /// cache line of `out_off[u]` toward the core. Forward cascades call
+    /// it for frontier nodes a few places ahead. A hint only; it changes
+    /// no result.
+    #[inline]
+    pub fn prefetch_out_offsets(&self, u: NodeId) {
+        prefetch(self.out_off.as_ptr().wrapping_add(u as usize));
+    }
+
+    /// Hints that `u`'s out-list will be scanned soon: pulls its first
+    /// cache line of targets toward the core. Reads `out_off[u]`, so it
+    /// pays off once [`Self::prefetch_out_offsets`] has brought that line
+    /// in. A hint only; it changes no result.
+    #[inline]
+    pub fn prefetch_out_list(&self, u: NodeId) {
+        let lo = self.out_off[u as usize];
+        prefetch(self.out_to.as_ptr().wrapping_add(lo));
     }
 
     /// Probability of the `i`-th out-edge of `u` (parallel to

@@ -10,6 +10,8 @@
 //! * [`epoch`] — epoch-stamped dense maps ([`EpochMap`], [`EdgeStatusCache`])
 //!   generalizing the visit-tag trick to arbitrary per-slot values; the
 //!   zero-allocation-per-cascade state substrate of the diffusion engine.
+//! * [`hint`] — [`prefetch`], the one cache hint the reverse RR walks and
+//!   the forward cascade kernel issue ahead of their queues.
 //! * [`parallel`] — the shared worker-count heuristic
 //!   ([`parallelism`]) used by every fork-join loop (RR-set generation,
 //!   welfare estimation) so sizing policy lives in exactly one place,
@@ -40,6 +42,7 @@ pub mod bitset;
 pub mod epoch;
 pub mod failpoint;
 pub mod fxhash;
+pub mod hint;
 pub mod json;
 pub mod metrics;
 pub mod parallel;
@@ -51,10 +54,11 @@ pub mod table;
 pub use bitset::{BitSet, VisitTags};
 pub use epoch::{EdgeStatusCache, EpochMap};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hint::prefetch;
 pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, LatencyRing};
 pub use parallel::{hardware_parallelism, parallelism, THREADS_ENV_VAR};
-pub use rng::{split_seed, UicRng};
+pub use rng::{coin_threshold, split_seed, UicRng};
 pub use special::{ln_gamma, log_choose, normal_cdf, normal_quantile};
 pub use stats::{mean, OnlineStats};
 pub use table::Table;

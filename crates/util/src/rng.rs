@@ -77,7 +77,7 @@ impl UicRng {
     /// Uniform `f64` in `[0, 1)` using the top 53 bits.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_raw())
     }
 
     /// Uniform `f32` in `[0, 1)` using the top 24 bits.
@@ -89,7 +89,16 @@ impl UicRng {
     /// Bernoulli trial with success probability `p`.
     #[inline]
     pub fn coin(&mut self, p: f64) -> bool {
-        self.next_f64() < p
+        coin_raw(self.next_raw(), p)
+    }
+
+    /// Bernoulli trial against an integer threshold from
+    /// [`coin_threshold`]: consumes one raw draw, and
+    /// `coin_below(coin_threshold(p))` equals `coin(p as f64)` draw for
+    /// draw.
+    #[inline]
+    pub fn coin_below(&mut self, threshold: u64) -> bool {
+        below_raw(self.next_raw(), threshold)
     }
 
     /// Uniform integer in `[0, bound)` via Lemire's multiply-shift method
@@ -122,6 +131,49 @@ impl UicRng {
                 return u * (-2.0 * s.ln() / s).sqrt();
             }
         }
+    }
+}
+
+/// `2^53`, the number of distinct values [`UicRng::next_f64`] returns.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// The `[0, 1)` value of a raw draw: its top 53 bits over `2^53`.
+#[inline]
+fn unit_f64(raw: u64) -> f64 {
+    (raw >> 11) as f64 * (1.0 / TWO_POW_53)
+}
+
+/// [`UicRng::coin`] on a given raw draw.
+#[inline]
+fn coin_raw(raw: u64, p: f64) -> bool {
+    unit_f64(raw) < p
+}
+
+/// [`UicRng::coin_below`] on a given raw draw.
+#[inline]
+fn below_raw(raw: u64, threshold: u64) -> bool {
+    (raw >> 11) < threshold
+}
+
+/// The integer threshold of a coin with success probability `p`, for
+/// [`UicRng::coin_below`].
+///
+/// `next_f64` is `k / 2^53` for the top 53 bits `k` of a draw, exactly,
+/// so `coin(p)` is `k < p·2^53`, and for an integer `k` that is
+/// `k < ⌈p·2^53⌉`. An `f32` has 24 significant bits and an exponent well
+/// inside the range of `f64`, so `p·2^53` is exact in `f64` and its
+/// ceiling is the exact threshold. `p ≥ 1` gives `2^53` (always live);
+/// `p ≤ 0` and NaN give 0 (never live), as `coin` treats them.
+pub fn coin_threshold(p: f32) -> u64 {
+    let x = p as f64 * TWO_POW_53;
+    if x >= TWO_POW_53 {
+        1 << 53
+    } else if x > 0.0 {
+        // `x < 2^53`, so the cast is an exact floor.
+        let floor = x as u64;
+        floor + u64::from(floor as f64 != x)
+    } else {
+        0
     }
 }
 
@@ -243,6 +295,46 @@ mod tests {
         let mut rng = UicRng::new(23);
         let hits = (0..100_000).filter(|_| rng.coin(0.3)).count();
         assert!((hits as f64 / 100_000.0 - 0.3).abs() < 0.01);
+    }
+
+    /// `coin_below(coin_threshold(p))` decides every raw draw as
+    /// `coin(p as f64)` does: at the threshold's boundary draws
+    /// (`threshold·2^11` − 1, + 0 and + 1) and on random draws, for
+    /// tiny, reciprocal-degree, mid-range and out-of-range `p`.
+    #[test]
+    fn integer_threshold_coin_is_exact() {
+        let mut ps = vec![0.0f32, f32::from_bits(1), 1e-30];
+        ps.extend((1..=65536u32).map(|d| 1.0f32 / d as f32));
+        ps.extend([0.1f32, 0.5, 1.0f32.next_down(), 1.0]);
+        ps.extend([1.5f32, f32::NAN, -0.25]);
+        let mut rng = UicRng::new(41);
+        for &p in &ps {
+            let t = coin_threshold(p);
+            let edge = t.wrapping_shl(11);
+            let mut raws = vec![edge.wrapping_sub(1), edge, edge.wrapping_add(1)];
+            raws.extend((0..8).map(|_| rng.next_raw()));
+            for raw in raws {
+                assert_eq!(
+                    below_raw(raw, t),
+                    coin_raw(raw, p as f64),
+                    "p = {p:e}, threshold {t}, raw {raw:#x}"
+                );
+            }
+            // The public pair on the same stream.
+            let mut a = UicRng::new(t ^ 0x5eed);
+            let mut b = a.clone();
+            for _ in 0..4 {
+                assert_eq!(a.coin(p as f64), b.coin_below(t), "p = {p:e}");
+            }
+        }
+        // Out-of-range probabilities behave as `coin` treats them.
+        assert_eq!(coin_threshold(1.5), 1 << 53, "always live");
+        assert_eq!(coin_threshold(f32::NAN), 0, "never live");
+        assert_eq!(coin_threshold(-0.25), 0, "never live");
+        // The boundary draws straddle the threshold where it is inside
+        // the draw range.
+        let t = coin_threshold(0.1);
+        assert!(below_raw((t << 11) - 1, t) && !below_raw(t << 11, t));
     }
 
     #[test]
