@@ -240,6 +240,20 @@ fn spec_f64_in(
     }
 }
 
+/// A count parameter that must be at least 1: absent keys fall back to
+/// `default`, 0 is a typed [`SpecError::BadValue`].
+fn spec_positive_u32(params: &SpecMap, key: &'static str, default: u32) -> Result<u32, SpecError> {
+    match params.get_u32(key)? {
+        None => Ok(default),
+        Some(0) => Err(SpecError::BadValue {
+            key: key.to_string(),
+            value: params.get(key).unwrap_or_default().to_string(),
+            expected: "a positive u32",
+        }),
+        Some(v) => Ok(v),
+    }
+}
+
 /// The RIS solvers' approximation parameter: `eps ∈ (0, 1)`.
 fn spec_eps(params: &SpecMap, default: f64) -> Result<f64, SpecError> {
     spec_f64_in(params, "eps", default, "a float in (0, 1)", |v| {
@@ -806,12 +820,14 @@ impl Default for McGreedy {
 }
 
 impl McGreedy {
-    /// Reads `sims` and `pool` overrides from a spec.
+    /// Reads `sims` and `pool` overrides from a spec. Both must be at
+    /// least 1: the greedy needs a simulation per estimate and a
+    /// non-empty candidate pool.
     pub fn from_spec(params: &SpecMap) -> Result<Self, SpecError> {
         let d = McGreedy::default();
         Ok(McGreedy {
-            sims: params.get_u32("sims")?.unwrap_or(d.sims),
-            pool: params.get_u32("pool")?.unwrap_or(d.pool),
+            sims: spec_positive_u32(params, "sims", d.sims)?,
+            pool: spec_positive_u32(params, "pool", d.pool)?,
         })
     }
 
@@ -1666,9 +1682,12 @@ mod tests {
 
         // warm-grd is NOT bundle-grd: PRIMA's final selection runs on
         // freshly regenerated RR sets (the Chen et al. fix), which a
-        // shared extend-only arena can never replay, so warm-grd
-        // certifies on the stream prefix instead. Same guarantee, a
-        // deliberately different (still deterministic) sample set.
+        // shared extend-only arena can never replay, so warm-grd selects
+        // on the first θ sets of the certification arena instead. That
+        // reuse is the dependence Chen showed breaks IMM's martingale
+        // argument, so bundle-grd's (1 − 1/e − ε) proof does not cover
+        // warm-grd: a different (still deterministic) sample set with no
+        // proven guarantee.
         let cold = WarmGrd::default().solve(&inst, &ctx);
         assert!(cold.allocation.respects_budgets(inst.budgets()));
         assert!(cold.welfare_mean().is_finite());
@@ -1709,6 +1728,8 @@ mod tests {
             "rr-cim ell=-1",
             "pagerank-top damping=1",
             "pagerank-top damping=-0.1",
+            "mc-greedy pool=0",
+            "mc-greedy sims=0",
         ] {
             assert!(
                 matches!(
@@ -1721,6 +1742,7 @@ mod tests {
         // The boundaries that ARE valid still parse.
         assert!(<dyn Allocator>::parse("warm-grd eps=0.99 ell=16").is_ok());
         assert!(<dyn Allocator>::parse("pagerank-top damping=0").is_ok());
+        assert!(<dyn Allocator>::parse("mc-greedy pool=1 sims=1").is_ok());
     }
 
     /// An instance of `budgets.len()` free items worth 1 each, in any

@@ -347,6 +347,11 @@ mod tests {
             .solve(&solve_req("warm-grd budgets=3,2 epsilon=0.5"), None)
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::BadSpec);
+        // An empty mc-greedy candidate pool is refused, not a panic.
+        let err = engine
+            .solve(&solve_req("mc-greedy budgets=1,1 pool=0"), None)
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadSpec);
     }
 
     #[test]
