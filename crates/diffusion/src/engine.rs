@@ -44,9 +44,9 @@
 //! from cascade to cascade (about 32 bytes per node on a
 //! weighted-cascade graph, 24 on the other classes), and
 //! [`CascadeState::run_into`] fills a caller's outcome, so a Monte-Carlo
-//! loop allocates nothing per cascade for the kernel's own state. (The
-//! per-world [`AdoptionOracle`] memo still allocates once a world makes
-//! its first decision.)
+//! loop allocates nothing per cascade. (The per-world [`AdoptionOracle`]
+//! memo is a flat array up to four items; above that it is a hash map,
+//! which allocates once a world makes its first decision.)
 //!
 //! How edge liveness is decided is abstracted behind [`EdgeOracle`],
 //! unifying lazy coin sampling ([`LazyCoins`]) with deterministic replay
@@ -469,23 +469,25 @@ impl CascadeState {
             out[live] = v;
             live += usize::from(edges.is_live(first_eid + i, threshold));
         };
-        match (&self.coins, g.out_arc_probs(u)) {
-            (CoinThresholds::Constant(t), _) => {
+        match &self.coins {
+            CoinThresholds::Constant(t) => {
                 for (i, &v) in nbrs.iter().enumerate() {
                     append(i, v, *t);
                 }
             }
-            (CoinThresholds::InDegree(by_node), ArcProbs::RecipInDegree { .. }) => {
+            CoinThresholds::InDegree(by_node) => {
                 for (i, &v) in nbrs.iter().enumerate() {
                     append(i, v, by_node[v as usize]);
                 }
             }
-            (CoinThresholds::PerEdge, ArcProbs::Dense(probs)) => {
+            CoinThresholds::PerEdge => {
+                let ArcProbs::Dense(probs) = g.out_arc_probs(u) else {
+                    unreachable!("per-edge weights are stored per arc");
+                };
                 for (i, (&v, &p)) in nbrs.iter().zip(probs).enumerate() {
                     append(i, v, coin_threshold(p));
                 }
             }
-            _ => unreachable!("coin thresholds follow the graph's weight class"),
         }
         self.used = start + live;
         // Spans fit in u32: a cascade flips each edge at most once, and

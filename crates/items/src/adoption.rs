@@ -10,7 +10,9 @@
 //!
 //! Decisions are memoized on `(desire, adopted)` — across a cascade most
 //! nodes face a handful of distinct situations, so memoization turns the
-//! `2^|R∖A|` enumeration into a table lookup.
+//! `2^|R∖A|` enumeration into a table lookup. With at most four items
+//! the memo is a flat array indexed by the two masks (no hashing, no
+//! allocation); larger universes use a hash map.
 
 use crate::itemset::ItemSet;
 use crate::utility::UtilityTable;
@@ -19,11 +21,20 @@ use uic_util::FxHashMap;
 /// Utility-equality tolerance for tie detection.
 const TIE_EPS: f64 = 1e-9;
 
+/// Item universes up to this size memoize in a flat array of
+/// `4^k ≤ 256` entries.
+const DENSE_MEMO_ITEMS: u32 = 4;
+
 /// Memoized adoption decisions against a fixed noise world's utilities.
 #[derive(Debug)]
 pub struct AdoptionOracle<'a> {
     table: &'a UtilityTable,
-    memo: FxHashMap<(u32, u32), ItemSet>,
+    /// The memo up to `DENSE_MEMO_ITEMS` items: entry
+    /// `desire << k | adopted` holds the decided mask + 1, or 0 while
+    /// undecided.
+    dense: [u8; 256],
+    /// The memo of larger universes.
+    hashed: FxHashMap<(u32, u32), ItemSet>,
     /// Enumeration calls actually performed (diagnostics/benches).
     misses: u64,
     /// Total queries served.
@@ -35,7 +46,8 @@ impl<'a> AdoptionOracle<'a> {
     pub fn new(table: &'a UtilityTable) -> AdoptionOracle<'a> {
         AdoptionOracle {
             table,
-            memo: FxHashMap::default(),
+            dense: [0; 256],
+            hashed: FxHashMap::default(),
             misses: 0,
             queries: 0,
         }
@@ -52,17 +64,28 @@ impl<'a> AdoptionOracle<'a> {
             "adopted {adopted} must be a subset of desire {desire}"
         );
         self.queries += 1;
+        let k = self.table.num_items();
+        if k <= DENSE_MEMO_ITEMS {
+            let slot = (desire.mask() << k | adopted.mask()) as usize;
+            if self.dense[slot] != 0 {
+                return ItemSet(u32::from(self.dense[slot] - 1));
+            }
+            self.misses += 1;
+            let t = Self::compute(self.table, desire, adopted);
+            self.dense[slot] = t.mask() as u8 + 1;
+            return t;
+        }
         let key = (desire.mask(), adopted.mask());
-        if let Some(&t) = self.memo.get(&key) {
+        if let Some(&t) = self.hashed.get(&key) {
             return t;
         }
         self.misses += 1;
-        let t = self.compute(desire, adopted);
-        self.memo.insert(key, t);
+        let t = Self::compute(self.table, desire, adopted);
+        self.hashed.insert(key, t);
         t
     }
 
-    fn compute(&self, desire: ItemSet, adopted: ItemSet) -> ItemSet {
+    fn compute(table: &UtilityTable, desire: ItemSet, adopted: ItemSet) -> ItemSet {
         // Enumerate supersets of `adopted` inside `desire`:
         // candidates = adopted ∪ X for X ⊆ desire ∖ adopted.
         let free = desire.minus(adopted);
@@ -71,7 +94,7 @@ impl<'a> AdoptionOracle<'a> {
         let mut best_single = ItemSet::EMPTY;
         for x in free.subsets() {
             let t = adopted.union(x);
-            let u = self.table.utility(t);
+            let u = table.utility(t);
             if u > best_util + TIE_EPS {
                 best_util = u;
                 best_union = t;
@@ -92,7 +115,7 @@ impl<'a> AdoptionOracle<'a> {
         // general (e.g. submodular/competitive) utilities — supported by
         // the §5 extension — the union may be strictly worse; fall back
         // to the largest-cardinality maximizer, which is always valid.
-        let chosen = if (self.table.utility(best_union) - best_util).abs() <= 2.0 * TIE_EPS {
+        let chosen = if (table.utility(best_union) - best_util).abs() <= 2.0 * TIE_EPS {
             best_union
         } else {
             best_single
@@ -135,6 +158,35 @@ mod tests {
     /// U({i1,i3}) = U({i2,i3}) = 1, U(all) = 4.
     fn example2() -> UtilityTable {
         UtilityTable::from_values(3, vec![0.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 4.0])
+    }
+
+    /// Both memo layouts (flat array up to four items, hash map above)
+    /// return the fresh enumeration's decision for every `(desire,
+    /// adopted)` pair, on first and on repeated queries.
+    #[test]
+    fn memoized_decisions_equal_fresh_enumeration() {
+        for k in [1u32, 3, 4, 5, 6] {
+            let values: Vec<f64> = (0..1u32 << k)
+                .map(|s| {
+                    if s == 0 {
+                        0.0
+                    } else {
+                        ((s * 37 % 11) as f64 - 4.0) / 3.0
+                    }
+                })
+                .collect();
+            let t = UtilityTable::from_values(k, values);
+            let mut o = AdoptionOracle::new(&t);
+            for pass in 0..2 {
+                for desire in ItemSet::full(k).subsets() {
+                    for adopted in desire.subsets() {
+                        let want = AdoptionOracle::compute(&t, desire, adopted);
+                        assert_eq!(o.adopt(desire, adopted), want, "k={k} pass {pass}");
+                    }
+                }
+            }
+            assert_eq!(o.queries(), 2 * o.misses(), "k={k}: second pass all hits");
+        }
     }
 
     #[test]
