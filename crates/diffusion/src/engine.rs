@@ -67,7 +67,7 @@ use crate::uic::UicOutcome;
 use crate::worlds::LiveEdgeWorld;
 use uic_graph::{ArcProbs, Graph, NodeId, WeightClass};
 use uic_items::{AdoptionOracle, ItemSet, UtilityTable};
-use uic_util::{coin_threshold, prefetch, UicRng, VisitTags};
+use uic_util::{coin_threshold, prefetch, UicRng};
 
 /// Decides edge liveness during a cascade, identified by global edge id.
 ///
@@ -506,7 +506,7 @@ impl CascadeState {
 #[doc(hidden)]
 pub mod reference {
     use super::*;
-    use uic_util::FxHashMap;
+    use uic_util::{FxHashMap, VisitTags};
 
     /// A faithful port of the pre-engine `UicSimulator`: per-cascade
     /// `FxHashMap`s for node state and edge coins, with the same reused

@@ -20,9 +20,10 @@
 //!
 //! * Sample `s` always draws from its own RNG stream
 //!   `split_seed(seed, s)`, independent of which worker runs it.
-//! * Workers compute one welfare value per sample into a shared vector,
-//!   each owning a contiguous range of samples. The cut may fall inside
-//!   a block: it decides only *who* computes a value.
+//! * Workers, the calling thread among them, claim samples one at a
+//!   time and return `(sample, value)` pairs, which the caller places
+//!   at their sample index. The claim order decides only *who* computes
+//!   a value.
 //! * The reduction then folds that vector sequentially into fixed
 //!   64-sample blocks and merges the blocks in block order, on one
 //!   thread, after the workers are done.
@@ -44,6 +45,7 @@ use crate::objective::{default_objective, WelfareObjective};
 use crate::uic::{UicOutcome, UicSimulator};
 use crate::worlds::enumerate_edge_worlds;
 use crossbeam::thread;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uic_graph::Graph;
 use uic_items::{UtilityModel, UtilityTable};
@@ -194,9 +196,11 @@ impl<'a> WelfareEstimator<'a> {
 
     /// Graph work (`n + m` per sample, summed over samples) below which
     /// another worker thread does not pay for its spawn and its own
-    /// simulator: about half a millisecond of cascade at the ~2 ns per
-    /// node or edge that a graph-wide cascade costs on the Flixster and
-    /// Orkut stand-ins.
+    /// cascade state: 0.1–0.2 ms of cascade at the 0.3–0.8 ns per node or
+    /// edge that a world of a bundle allocation costs on the Flixster and
+    /// Orkut stand-ins. Measured on a 2-vCPU Xeon host: at 0.96 grains a
+    /// second worker cut an estimate from 206 to 177 µs, and at 0.32
+    /// grains (one sample) there is nothing to split.
     const WORK_GRAIN: usize = 1 << 18;
 
     /// Statistics over the sample-index range `[first, last)`.
@@ -227,14 +231,17 @@ impl<'a> WelfareEstimator<'a> {
     /// every sample `s ∈ [first, last)`, in sample order.
     ///
     /// Sample `s` draws its noise world and its edge coins from its own
-    /// stream `split_seed(seed, s)`. Workers own contiguous sample
-    /// ranges and write straight into their slice of the result, so the
-    /// values do not depend on the thread count. Each worker runs one
-    /// [`CascadeState`] and refills one outcome buffer, so its cascades
-    /// allocate nothing. Workers are sized by
-    /// graph work (`(n + m) · samples` against [`Self::WORK_GRAIN`]),
-    /// not by sample count: a handful of samples on a million-node graph
-    /// is worth several cores, thousands on a toy graph are not.
+    /// stream `split_seed(seed, s)`, and its value lands at index `s` of
+    /// the result, so the values do not depend on which worker computes
+    /// which sample. Workers, the calling thread among them, claim
+    /// samples one at a time from a shared counter, so a worker that
+    /// starts late (a busy host) takes fewer samples instead of holding
+    /// the call up. Each worker builds one [`CascadeState`] at its first
+    /// claim and refills one outcome buffer, so its cascades allocate
+    /// nothing. Workers are sized by graph work (`(n + m) · samples`
+    /// against [`Self::WORK_GRAIN`]), not by sample count: a handful of
+    /// samples on a million-node graph is worth several cores, thousands
+    /// on a toy graph are not.
     fn sample_values<F>(&self, allocation: &Allocation, first: u32, last: u32, value: F) -> Vec<f64>
     where
         F: Fn(&UicOutcome, &UtilityTable) -> f64 + Sync,
@@ -251,11 +258,20 @@ impl<'a> WelfareEstimator<'a> {
         let graph = self.graph;
         let model = self.model;
         let seed = self.seed;
-        let run = |lo: u32, out: &mut [f64]| {
-            let mut state = CascadeState::new(graph);
+        // The next unclaimed sample. It publishes no data: each worker's
+        // values reach the caller through its join.
+        let next = AtomicU64::new(u64::from(first));
+        let work = || {
+            let mut state: Option<CascadeState> = None;
             let mut outcome = UicOutcome::default();
-            for (s, slot) in (lo..).zip(out.iter_mut()) {
-                let mut rng = UicRng::new(split_seed(seed, s as u64));
+            let mut done = Vec::new();
+            loop {
+                let s = next.fetch_add(1, Ordering::Relaxed);
+                if s >= u64::from(last) {
+                    return done;
+                }
+                let state = state.get_or_insert_with(|| CascadeState::new(graph));
+                let mut rng = UicRng::new(split_seed(seed, s));
                 let noise_table;
                 let table = match &shared_table {
                     Some(table) => table,
@@ -266,27 +282,29 @@ impl<'a> WelfareEstimator<'a> {
                 };
                 let mut coins = LazyCoins { rng: &mut rng };
                 state.run_into(graph, allocation, table, &mut coins, &mut outcome);
-                *slot = value(&outcome, table);
+                done.push((s, value(&outcome, table)));
             }
         };
-        let mut values = vec![0.0; count];
         let graph_work = graph.num_nodes() as usize + graph.num_edges();
         let threads = self
             .threads
             .unwrap_or_else(|| parallelism(count.saturating_mul(graph_work), Self::WORK_GRAIN))
             .min(count);
-        if threads <= 1 {
-            run(first, &mut values);
-        } else {
-            let per = count.div_ceil(threads);
-            let run = &run;
-            thread::scope(|scope| {
-                for (t, chunk) in values.chunks_mut(per).enumerate() {
-                    scope.spawn(move |_| run(first + (t * per) as u32, chunk));
+        let mut values = vec![0.0; count];
+        let work = &work;
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(move |_| work())).collect();
+            let mut place = |done: Vec<(u64, f64)>| {
+                for (s, x) in done {
+                    values[(s - u64::from(first)) as usize] = x;
                 }
-            })
-            .expect("crossbeam scope failed");
-        }
+            };
+            place(work());
+            for helper in helpers {
+                place(helper.join().expect("a welfare worker panicked"));
+            }
+        })
+        .expect("crossbeam scope failed");
         values
     }
 
