@@ -164,6 +164,7 @@ fn below_raw(raw: u64, threshold: u64) -> bool {
 /// inside the range of `f64`, so `p·2^53` is exact in `f64` and its
 /// ceiling is the exact threshold. `p ≥ 1` gives `2^53` (always live);
 /// `p ≤ 0` and NaN give 0 (never live), as `coin` treats them.
+#[inline]
 pub fn coin_threshold(p: f32) -> u64 {
     let x = p as f64 * TWO_POW_53;
     if x >= TWO_POW_53 {
