@@ -253,7 +253,8 @@ pub struct CascadeState {
 }
 
 impl CascadeState {
-    /// State sized for graph `g`.
+    /// State for graph `g`. It holds `g`'s edge-coin thresholds, so every
+    /// cascade it runs must be on `g`.
     pub fn new(g: &Graph) -> CascadeState {
         let n = g.num_nodes() as usize;
         CascadeState {

@@ -127,7 +127,8 @@ impl AdoptionRule for PersonalNoise<'_> {
 }
 
 impl PersonalizedSimulator {
-    /// Scratch sized for graph `g` and `num_items` items.
+    /// Scratch for graph `g` and `num_items` items; run it on `g` only
+    /// (it holds `g`'s coin thresholds).
     pub fn new(g: &Graph, num_items: u32) -> PersonalizedSimulator {
         let n = g.num_nodes() as usize;
         PersonalizedSimulator {

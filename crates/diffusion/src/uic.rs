@@ -96,7 +96,8 @@ pub struct UicSimulator {
 }
 
 impl UicSimulator {
-    /// Scratch sized for graph `g`.
+    /// Scratch for graph `g`; run it on `g` only (it holds `g`'s coin
+    /// thresholds).
     pub fn new(g: &Graph) -> UicSimulator {
         UicSimulator {
             state: CascadeState::new(g),
