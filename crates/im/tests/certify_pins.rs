@@ -8,6 +8,15 @@
 //! weighted-cascade graph, and an edgeless graph on which small budgets
 //! never certify and their requirements fall back to `LB = 1`. RR sets are a
 //! pure function of `(seed, index)`, so the pins hold at any worker count.
+//!
+//! A budget switch checks the previous ordering's prefix on the current
+//! sample. The IC hub covers both shapes of that sample. With `[5, 3, 1]`
+//! and with `[10, 9, 8]` at `ε = 0.4` it has grown past the selection
+//! being reused (`θ_k > cur`); in the second case the switch to budget 9
+//! also sets the final sample size, so one set more or less in that
+//! check moves the pins. With `[10, 5]` at `ε = 0.8` it has not grown
+//! (`θ_10 ≤ cur`), so the check counts on exactly the selection's own
+//! sets.
 
 use uic_graph::{Graph, GraphBuilder, NodeId, Weighting};
 use uic_im::{imm, prima, warm_prima, DiffusionModel, ImmResult, PrimaResult, RrCollection};
@@ -132,6 +141,53 @@ fn ic_hub_pins() {
             estimated_spread_bits: 0x40406eb3e45306ec,
             rr_sets_final: 555,
             rr_sets_total: 844,
+        },
+    );
+    // Both switches reuse the selection made on 412 sets, after the
+    // sample grew to 725 and then 728 (θ_9, the final size).
+    check_prima(
+        "prima binding switch",
+        &prima(&g, &[10, 9, 8], 0.4, 1.0, model, seed),
+        &PrimaPin {
+            order: &[0, 30, 38, 39, 26, 15, 16, 31, 25, 18],
+            coverage: &[433, 560, 585, 594, 602, 610, 617, 623, 629, 635],
+            rr_sets_final: 728,
+            rr_sets_total: 1456,
+            budgets_certified: 3,
+        },
+    );
+    check_prima(
+        "warm_prima binding switch",
+        &warm(&g, model, seed, &[10, 9, 8], 0.4),
+        &PrimaPin {
+            order: &[0, 30, 38, 39, 35, 34, 33, 13, 8, 4],
+            coverage: &[437, 549, 577, 585, 592, 598, 604, 610, 616, 622],
+            rr_sets_final: 728,
+            rr_sets_total: 728,
+            budgets_certified: 3,
+        },
+    );
+    // The switch to budget 5 reuses a selection made on all 236 sets.
+    check_prima(
+        "prima unchanged sample",
+        &prima(&g, &[10, 5], 0.8, 1.0, model, seed),
+        &PrimaPin {
+            order: &[0, 30, 38, 39, 37, 28, 19, 12, 4, 2],
+            coverage: &[138, 176, 187, 191, 194, 197, 200, 203, 206, 209],
+            rr_sets_final: 236,
+            rr_sets_total: 472,
+            budgets_certified: 2,
+        },
+    );
+    check_prima(
+        "warm_prima unchanged sample",
+        &warm(&g, model, seed, &[10, 5], 0.8),
+        &PrimaPin {
+            order: &[0, 30, 38, 39, 35, 34, 33, 29, 22, 8],
+            coverage: &[141, 178, 187, 191, 194, 197, 200, 203, 206, 209],
+            rr_sets_final: 236,
+            rr_sets_total: 236,
+            budgets_certified: 2,
         },
     );
 }
