@@ -35,7 +35,7 @@
 use crate::node_selection::{node_selection, node_selection_prefix_indexed, NodeSelectionResult};
 use crate::rrset::{DiffusionModel, RrCollection};
 use uic_graph::{Graph, NodeId};
-use uic_util::log_choose;
+use uic_util::{log_choose, VisitTags};
 
 /// Result of a PRIMA run.
 #[derive(Debug, Clone)]
@@ -358,6 +358,7 @@ fn certify<A: WarmArena>(
     let mut i = 1u32;
     let mut budget_switch = false;
     let mut prev_selection: Option<NodeSelectionResult> = None;
+    let mut switch_marks = VisitTags::new(0);
     let mut theta_required = 0usize;
     let max_rounds = bounds.max_rounds();
 
@@ -374,12 +375,18 @@ fn certify<A: WarmArena>(
                 .as_ref()
                 .expect("budget switch implies a previous selection");
             let prefix = prev.prefix(k as usize);
+            // The prefix's coverage on the first `cur` sets. On every
+            // `select` path (default, plan slice, resume, capped prefix)
+            // `covered[j]` counts covered sets among the first
+            // `num_sets`, and `num_sets ≤ cur`, so only the sets drawn
+            // since the selection need walking.
+            let covered = prev.covered[prefix.len() - 1]
+                + arena
+                    .read(|coll| coll.count_covered(prefix, prev.num_sets..cur, &mut switch_marks));
             // `F_R(S)` (spread ÷ n) times n: the divide/multiply pair is
             // not a float identity, and the threshold below compares this
             // value, so the rounding sequence is part of the output.
-            arena.read(|coll| {
-                nf * (coll.estimate_spread_prefix_indexed(prefix, cur) / coll.num_nodes() as f64)
-            })
+            nf * (nf * covered as f64 / cur as f64 / nf)
         } else {
             let sel = arena.select(k, cur);
             let est = sel.estimated_spread(n, sel.seeds.len().min(k as usize));

@@ -163,7 +163,7 @@ fn geom_jump(rng: &mut UicRng, lg: f64) -> usize {
 /// Where a node's in-edges share one probability (weighted-cascade
 /// graphs, and most real datasets), the scan jumps geometrically to the
 /// next live edge instead of flipping a coin per edge —
-/// distribution-identical to the per-edge scan of [`sample_rr`], and it
+/// distribution-identical to the per-edge scan of [`sample_rr_into`], and it
 /// skips both the coin and the visit-tag lookup for every dead edge.
 ///
 /// Upcoming queue nodes are known in advance, so their in-list reads are
@@ -351,21 +351,6 @@ pub fn sample_rr_into(
     }
 }
 
-/// Samples one RR set for a uniformly random root into `out`
-/// (cleared first). Compatibility wrapper around [`sample_rr_into`] for
-/// callers that want a standalone set rather than an arena segment.
-pub fn sample_rr(
-    g: &Graph,
-    model: DiffusionModel,
-    rng: &mut UicRng,
-    tags: &mut VisitTags,
-    out: &mut Vec<NodeId>,
-    width: &mut u64,
-) {
-    out.clear();
-    sample_rr_into(g, model, rng, tags, out, width);
-}
-
 /// Persistent node → set-id inverted index in CSR layout.
 ///
 /// `start` has `n + 1` entries once built; `ids[start[v]..start[v+1]]`
@@ -531,8 +516,8 @@ impl RrCollection {
 
     /// True when the persistent inverted index covers every held set —
     /// i.e. the read-only query paths
-    /// ([`crate::node_selection_prefix_indexed`],
-    /// [`RrCollection::estimate_spread_prefix_indexed`]) may run.
+    /// ([`crate::node_selection_prefix_indexed`] and the coverage counts
+    /// of the certification loop) may run.
     pub fn index_is_current(&self) -> bool {
         self.index.sets_indexed == self.len()
             && self.index.start.len() == self.num_nodes as usize + 1
@@ -743,9 +728,9 @@ impl RrCollection {
     ///
     /// Public because shared-arena holders (the `uic-serve` sharded
     /// registry) index under their *write* lock so that subsequent
-    /// selections — [`crate::node_selection_prefix_indexed`] and
-    /// [`RrCollection::estimate_spread_prefix_indexed`] — can run under
-    /// a shared *read* lock.
+    /// selections — [`crate::node_selection_prefix_indexed`] and the
+    /// certification loop's coverage counts — can run under a shared
+    /// *read* lock.
     ///
     /// The merge is parallelized by **node-range partitioning**: nodes
     /// are split into contiguous ranges balanced by per-range id volume;
@@ -897,63 +882,42 @@ impl RrCollection {
             return 0.0;
         }
         self.ensure_index();
-        if self.cover_marks.len() < len {
-            self.cover_marks = VisitTags::new(len);
-        }
-        self.cover_marks.reset();
-        let covered = self.index.count_covered(seeds, len, &mut self.cover_marks);
+        let mut marks = std::mem::replace(&mut self.cover_marks, VisitTags::new(0));
+        let covered = self.count_covered(seeds, 0..len, &mut marks);
+        self.cover_marks = marks;
         self.num_nodes as f64 * covered as f64 / len as f64
     }
 
-    /// [`RrCollection::estimate_spread`] restricted to the arena
-    /// **prefix** of the first `num_sets` sets (capped at the current
-    /// length), for shared (`&self`) access.
+    /// Distinct sets with ids in `ids` that contain a node of `seeds`.
     ///
-    /// Because set `j` is a pure function of `(sampler, j)` and the
-    /// arena only ever grows, the estimate over a prefix of a warm
-    /// collection is bit-identical to [`RrCollection::estimate_spread`]
-    /// on a fresh identically-seeded collection grown to exactly
-    /// `num_sets` — the property the resident-server query path (one
-    /// shared arena, many queries of differing sample sizes) relies on.
-    /// The distinct-set marks live in a local scratch instead of the
-    /// collection's reusable one, so any number of readers may estimate
-    /// concurrently under a shared lock. The index must already be
-    /// current ([`RrCollection::ensure_index`] under the holder's write
-    /// lock).
+    /// Each seed's id list is ascending, so only its run between two
+    /// `partition_point`s is walked. `marks` is caller-owned scratch,
+    /// grown to `ids.len()` slots when shorter and reset here, so a
+    /// caller that keeps one allocates nothing per call. Takes `&self`:
+    /// any number of readers may count concurrently under a shared lock.
     ///
     /// # Panics
     /// When the index is stale — a shared-arena holder bug: top-up and
     /// indexing belong under the write lock.
-    pub fn estimate_spread_prefix_indexed(&self, seeds: &[NodeId], num_sets: usize) -> f64 {
-        let len = num_sets.min(self.len());
-        if len == 0 {
-            return 0.0;
+    pub(crate) fn count_covered(
+        &self,
+        seeds: &[NodeId],
+        ids: std::ops::Range<usize>,
+        marks: &mut VisitTags,
+    ) -> u64 {
+        assert!(self.index_is_current(), "count_covered on a stale index");
+        if marks.len() < ids.len() {
+            *marks = VisitTags::new(ids.len());
         }
-        assert!(
-            self.index_is_current(),
-            "estimate_spread_prefix_indexed on a stale index"
-        );
-        let covered = self
-            .index
-            .count_covered(seeds, len, &mut VisitTags::new(len));
-        self.num_nodes as f64 * covered as f64 / len as f64
-    }
-}
-
-impl InvertedIndex {
-    /// Distinct sets among the first `len` that contain a node of
-    /// `seeds`, counted against `marks` (fresh or reset, sized `≥ len`).
-    fn count_covered(&self, seeds: &[NodeId], len: usize, marks: &mut VisitTags) -> u64 {
-        let limit = len as u32;
+        marks.reset();
+        let (from, to) = (ids.start as u32, ids.end as u32);
         let mut covered = 0u64;
         for &s in seeds {
-            let v = s as usize;
-            // Per-node id lists are ascending: only the run below `limit`
-            // belongs to the prefix.
-            let ids = &self.ids[self.start[v]..self.start[v + 1]];
-            let in_prefix = ids.partition_point(|&id| id < limit);
-            for &rid in &ids[..in_prefix] {
-                if marks.mark(rid as usize) {
+            let list = self.covering_sets(s);
+            let lo = list.partition_point(|&id| id < from);
+            let hi = list.partition_point(|&id| id < to);
+            for &rid in &list[lo..hi] {
+                if marks.mark((rid - from) as usize) {
                     covered += 1;
                 }
             }
@@ -1115,25 +1079,34 @@ mod tests {
         let mut warm = RrCollection::new(&g, DiffusionModel::IC, 37);
         warm.extend_to(&g, 5_000);
         warm.ensure_index();
+        let mut marks = VisitTags::new(0);
         for prefix in [1usize, 100, 1_000, 5_000] {
             let mut fresh = RrCollection::new(&g, DiffusionModel::IC, 37);
             fresh.extend_to(&g, prefix);
+            let covered = warm.count_covered(&[0, 2], 0..prefix, &mut marks);
             assert_eq!(
-                warm.estimate_spread_prefix_indexed(&[0, 2], prefix),
+                3.0 * covered as f64 / prefix as f64,
                 fresh.estimate_spread(&[0, 2]),
                 "prefix {prefix}"
             );
+            // Cut anywhere, the two ranges add up to the prefix (the
+            // budget-switch check's sum).
+            let cut = prefix / 3;
+            assert_eq!(
+                warm.count_covered(&[0, 2], 0..cut, &mut marks)
+                    + warm.count_covered(&[0, 2], cut..prefix, &mut marks),
+                covered,
+                "prefix {prefix}"
+            );
         }
-        // Full-length and oversized prefixes degrade to estimate_spread.
+        // The full range is what estimate_spread counts; an empty one
+        // counts nothing.
+        let full = warm.count_covered(&[0], 0..warm.len(), &mut marks);
         assert_eq!(
-            warm.estimate_spread_prefix_indexed(&[0], warm.len()),
+            3.0 * full as f64 / warm.len() as f64,
             warm.estimate_spread(&[0])
         );
-        assert_eq!(
-            warm.estimate_spread_prefix_indexed(&[0], usize::MAX),
-            warm.estimate_spread(&[0])
-        );
-        assert_eq!(warm.estimate_spread_prefix_indexed(&[0], 0), 0.0);
+        assert_eq!(warm.count_covered(&[0], 0..0, &mut marks), 0);
     }
 
     #[test]
