@@ -177,7 +177,9 @@ pub trait WarmArena {
     /// [`SelectionPlan`](crate::SelectionPlan) (the `uic-serve` plan
     /// cache), **provided the override returns exactly what the
     /// default would** — selection results feed the certification
-    /// thresholds, so any deviation breaks the bit-identity contract.
+    /// thresholds, and a budget switch reuses their `covered` counts
+    /// over `num_sets`, so any deviation breaks the bit-identity
+    /// contract.
     fn select(&self, k: u32, num_sets: usize) -> NodeSelectionResult {
         self.read(|coll| node_selection_prefix_indexed(coll, k, num_sets))
     }

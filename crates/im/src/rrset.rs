@@ -906,6 +906,11 @@ impl RrCollection {
         marks: &mut VisitTags,
     ) -> u64 {
         assert!(self.index_is_current(), "count_covered on a stale index");
+        // A budget switch on an unchanged sample lands here; skipping the
+        // per-seed binary searches over a large index is most of its cost.
+        if ids.is_empty() {
+            return 0;
+        }
         if marks.len() < ids.len() {
             *marks = VisitTags::new(ids.len());
         }
