@@ -287,15 +287,30 @@ impl ArenaRegistry {
     /// on top-up, the plan cache on plan install/evict). Delta-based so
     /// a racing top-up and plan install cannot clobber each other's
     /// accounting.
+    ///
+    /// Runs under the cell's shard lock, which every removal also holds,
+    /// and reaches the resident-byte gauge only while the cell is still
+    /// in the map: [`account_removal`](Self::account_removal) settles a
+    /// cell's bytes once, so growth of a detached cell (a holder still
+    /// serving its query) must not be added to the gauge, or it would
+    /// stay there and keep the budget evicting forever.
     fn note_resize(&self, cell: &ArenaCell, old_bytes: usize, new_bytes: usize) {
+        let shard = self.shard_of(cell.key).lock().expect("arena shard lock");
+        let resident = shard
+            .get(&cell.key)
+            .is_some_and(|c| std::ptr::eq(&**c, cell));
         if new_bytes >= old_bytes {
             let d = new_bytes - old_bytes;
             cell.bytes.fetch_add(d, Ordering::Relaxed);
-            self.metrics.arena_bytes.add(d as u64);
+            if resident {
+                self.metrics.arena_bytes.add(d as u64);
+            }
         } else {
             let d = old_bytes - new_bytes;
             cell.bytes.fetch_sub(d, Ordering::Relaxed);
-            self.metrics.arena_bytes.sub(d as u64);
+            if resident {
+                self.metrics.arena_bytes.sub(d as u64);
+            }
         }
     }
 
@@ -692,6 +707,31 @@ mod tests {
         // Recreating the evicted key counts as a rebuild.
         let _a2 = reg.checkout(&g, DiffusionModel::IC, 1);
         assert_eq!(m.rebuilds_total.get(), 1);
+    }
+
+    #[test]
+    fn growth_of_an_evicted_arena_stays_out_of_the_resident_gauge() {
+        let g = star_graph();
+        let (reg, m) = registry(Some(1));
+        let a = reg.checkout(&g, DiffusionModel::IC, 1);
+        a.prepare(&g, 32).unwrap();
+        let b = reg.checkout(&g, DiffusionModel::IC, 2);
+        b.prepare(&g, 32).unwrap();
+        assert_eq!(
+            m.evictions_total.get(),
+            1,
+            "seed 1 evicted under its holder"
+        );
+        // The holder keeps growing the detached arena and caching plans
+        // on it; none of that is resident.
+        a.prepare(&g, 64).unwrap();
+        a.select(2, 64);
+        let resident: usize = reg
+            .cells()
+            .iter()
+            .map(|c| c.bytes.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(m.arena_bytes.get(), resident as u64);
     }
 
     #[test]
