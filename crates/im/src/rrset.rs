@@ -1255,4 +1255,67 @@ mod tests {
             assert_eq!(coll, reference, "{threads} threads");
         }
     }
+
+    /// A 600-node weighted-cascade graph with in-degrees 0–8 and a few
+    /// hubs, so RR sets range from singletons to dozens of members.
+    fn index_test_graph() -> Graph {
+        let n = 600u32;
+        let mut rng = UicRng::new(41);
+        let mut arcs = Vec::new();
+        for v in 0..n {
+            let d = if v % 97 == 0 { 40 } else { v % 9 };
+            arcs.extend((0..d).map(|_| (rng.next_below(n), v)));
+        }
+        Graph::try_from_arcs(n, &arcs, WeightSpec::InDegree).unwrap()
+    }
+
+    #[test]
+    fn merged_index_matches_a_one_shot_build_and_grows_exactly() {
+        // Random growth schedules mixing empty, single-set and large
+        // top-ups. After every merge the CSR arrays equal a one-shot
+        // build of the same sets, and the held bytes grow by one `u32`
+        // per new entry (plus the offsets, on the first build): the
+        // eviction budget of a shared arena counts capacity, so a merge
+        // must not over-reserve.
+        let g = index_test_graph();
+        let n = g.num_nodes() as usize;
+        for schedule in 0..4u64 {
+            let mut rng = UicRng::new(schedule);
+            let mut targets = Vec::new();
+            let mut len = 0usize;
+            for _ in 0..12 {
+                len += match rng.next_below(4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => rng.next_below(40) as usize,
+                    _ => 200 + rng.next_below(2_000) as usize,
+                };
+                targets.push(len);
+            }
+            for threads in [1usize, 2, 3] {
+                let mut coll =
+                    RrCollection::new(&g, DiffusionModel::IC, 53 + schedule).with_threads(threads);
+                let mut indexed_entries = 0usize;
+                for &target in &targets {
+                    coll.extend_to(&g, target);
+                    let before = coll.heap_bytes();
+                    let start_slots = coll.index.start.len();
+                    coll.ensure_index();
+                    let new_entries = coll.total_entries() - indexed_entries;
+                    indexed_entries = coll.total_entries();
+                    let what = format!("schedule {schedule}, {threads} threads, {target} sets");
+                    assert_eq!(
+                        coll.heap_bytes() - before,
+                        4 * new_entries + 8 * (n + 1 - start_slots),
+                        "{what}: held bytes"
+                    );
+                    let mut fresh = RrCollection::new(&g, DiffusionModel::IC, 53 + schedule);
+                    fresh.extend_to(&g, target);
+                    fresh.ensure_index();
+                    assert_eq!(coll.index.start, fresh.index.start, "{what}: start");
+                    assert_eq!(coll.index.ids, fresh.index.ids, "{what}: ids");
+                }
+            }
+        }
+    }
 }

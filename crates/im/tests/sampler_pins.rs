@@ -8,9 +8,10 @@
 //! same probabilities stored per edge (the two must agree set for set),
 //! constant probabilities including `1.0` and one below f64 resolution
 //! (which falls back to per-edge coins), mixed per-edge lists,
-//! zero-in-degree nodes, and LT. Each collection is grown in one shot
-//! and in uneven top-ups, on the default worker count and on pinned
-//! ones; every schedule must land on the same pinned stream.
+//! zero-in-degree nodes, and LT, plus a larger graph whose walks run
+//! through BFS levels hundreds of nodes wide. Each collection is grown
+//! in one shot and in uneven top-ups, on the default worker count and
+//! on pinned ones; every schedule must land on the same pinned stream.
 
 use uic_graph::{Graph, NodeId, WeightClass, WeightSpec};
 use uic_im::{DiffusionModel, RrCollection};
@@ -210,4 +211,45 @@ fn linear_threshold() {
         19,
         (15761970268891657648, 12802),
     );
+}
+
+/// A 3000-node graph of in-degree 5 at constant p = 0.3: 1.5 live
+/// in-edges per visited node, so most walks reach a large share of the
+/// graph through BFS levels hundreds of nodes wide.
+fn wide_graph() -> Graph {
+    let n = 3_000u32;
+    let mut x = 0x2545_f491u32;
+    let mut arcs = Vec::new();
+    for v in 0..n {
+        for _ in 0..5 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            arcs.push((x % n, v));
+        }
+    }
+    Graph::try_from_arcs(n, &arcs, WeightSpec::Constant(0.3)).expect("valid graph")
+}
+
+#[test]
+fn wide_bfs_levels() {
+    let g = wide_graph();
+    let sets = 300;
+    let pin = (6222451041551333947, 1662070);
+    for (schedule, targets) in [
+        ("one shot", &[sets][..]),
+        ("top-ups", &[1, 2, 90, 151, 299, sets][..]),
+    ] {
+        for threads in [None, Some(1), Some(3)] {
+            let c = grow(&g, DiffusionModel::IC, 23, targets, threads);
+            assert_eq!(c.len(), sets);
+            let widest = c.iter().map(<[NodeId]>::len).max().unwrap_or(0);
+            assert!(widest > 1_000, "walks must reach wide levels ({widest})");
+            assert_eq!(
+                (fingerprint(&c), c.total_width()),
+                pin,
+                "wide levels: {schedule} on {threads:?} workers"
+            );
+        }
+    }
 }
