@@ -547,6 +547,21 @@ impl Graph {
         &self.in_from[self.in_off[v as usize]..self.in_off[v as usize + 1]]
     }
 
+    /// Every in-list, concatenated in node order: `in_neighbors(v)` is
+    /// `in_sources()[in_span(v)]`. Lets a walk record an in-edge as one
+    /// slot index and read its source later.
+    #[inline]
+    pub fn in_sources(&self) -> &[NodeId] {
+        &self.in_from
+    }
+
+    /// Slots of `v`'s in-list within [`Self::in_sources`]. Slots are
+    /// below `u32::MAX`: construction refuses more edges than that.
+    #[inline]
+    pub fn in_span(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.in_off[v as usize]..self.in_off[v as usize + 1]
+    }
+
     /// Hints that `v`'s in-list bounds will be read soon: pulls the
     /// cache line of `in_off[v]` toward the core. Reverse walks call it
     /// when `v` joins their queue. A hint only; it changes no result.

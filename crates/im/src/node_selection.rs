@@ -245,14 +245,21 @@ fn prefix_ids(coll: &RrCollection, v: NodeId, limit: u32) -> &[u32] {
 /// `scratch` (already [`SelectionScratch::begin`]-ed). Only nodes with
 /// a non-empty prefix list get a slot — the empty-prefix tail never
 /// enters the heap (see the module docs for why that preserves picks).
+/// A prefix spanning the whole collection (every offline selection)
+/// takes each list's length from the index offsets alone.
 pub(crate) fn seed_prefix_counts(
     coll: &RrCollection,
     num_sets: usize,
     scratch: &mut SelectionScratch,
 ) {
+    let whole = num_sets >= coll.len();
     let limit = num_sets as u32;
     for v in 0..coll.num_nodes() {
-        let len = prefix_ids(coll, v, limit).len();
+        let len = if whole {
+            coll.covering_sets(v).len()
+        } else {
+            prefix_ids(coll, v, limit).len()
+        };
         if len > 0 {
             scratch.set_cover(v as usize, len as u32);
         }

@@ -36,7 +36,7 @@
 
 use crossbeam::thread;
 use uic_graph::{Graph, NodeId, WeightClass};
-use uic_util::{parallelism, split_seed, UicRng, VisitTags};
+use uic_util::{parallelism, prefetch, split_seed, UicRng, VisitTags};
 
 /// Which diffusion model the sampler follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,13 +54,14 @@ pub enum DiffusionModel {
 /// `(self, index)` — typically by deriving a fresh RNG from
 /// `split_seed(seed, index)` — so that [`RrCollection::extend_with`] can
 /// distribute indices across threads without changing the resulting
-/// collection. Per-thread mutable state (visit tags, queues, cached
-/// possible worlds) lives in the associated `Scratch` type, created once
-/// per worker via [`RrSampler::scratch`] on **every**
+/// collection. Per-thread mutable state (visit tags, per-level buffers,
+/// cached possible worlds) lives in the associated `Scratch` type,
+/// created once per worker via [`RrSampler::scratch`] on **every**
 /// [`RrCollection::extend_with`] call. Top-ups of a few hundred sets are
 /// common (warm arenas, PRIMA rounds), so anything the scratch builds up
 /// front is paid per call; tables derivable from the graph structure
-/// should be sized by what the samples read, not by `n`.
+/// should be sized by what the samples read, not by `n`, and buffers
+/// should start empty and grow with use.
 pub trait RrSampler: Sync {
     /// Per-worker scratch state (reset or re-derived per sample as the
     /// sampler requires).
@@ -69,10 +70,10 @@ pub trait RrSampler: Sync {
     /// Builds one worker's scratch for graph `g`.
     fn scratch(&self, g: &Graph) -> Self::Scratch;
 
-    /// Appends the members of RR sample `index` onto `arena` (an empty
-    /// sample appends nothing) and accumulates the number of in-edges
-    /// examined into `width`. Must not touch `arena` below its length at
-    /// entry.
+    /// Appends the members of RR sample `index` onto `arena`, each at
+    /// most once (an empty sample appends nothing), and accumulates the
+    /// number of in-edges examined into `width`. Must not touch `arena`
+    /// below its length at entry.
     fn sample_into(
         &self,
         g: &Graph,
@@ -100,14 +101,19 @@ impl StandardRrSampler {
     }
 }
 
-/// Per-worker scratch of [`StandardRrSampler`]: visit tags plus the
-/// coin table of the graph's weight class. Its size follows the class,
-/// never the node count alone: O(max in-degree) entries on a
-/// weighted-cascade graph, one on a constant graph, none for LT, and one
-/// per node only for explicit per-edge weights.
+/// Per-worker scratch of [`StandardRrSampler`]: visit tags, the coin
+/// table of the graph's weight class, and the live-edge buffer of the
+/// level-batched IC walk. The table's size follows the class, never the
+/// node count alone: O(max in-degree) entries on a weighted-cascade
+/// graph, one on a constant graph, none for LT, and one per node only
+/// for explicit per-edge weights. The buffer holds one BFS level's live
+/// in-edges and grows with the widest level walked.
 pub struct StandardScratch {
     tags: VisitTags,
     coins: CoinTable,
+    /// One BFS level's live in-edges, then their sources (see
+    /// `ic_walk`); grows to the widest level's live-edge count.
+    live: Vec<u32>,
 }
 
 /// `(p, ln(1 − p))` of an in-list's shared probability, the pair the
@@ -156,24 +162,76 @@ fn geom_jump(rng: &mut UicRng, lg: f64) -> usize {
     }
 }
 
-/// The IC reverse BFS of [`StandardRrSampler`]. The arena segment of the
-/// set being built is the queue; `coin(v, d_in(v))` yields the
-/// coin-table entry of a visited node with a non-empty in-list.
+/// The live in-edges of `v` in list order, each reported to `live` as
+/// its slot in [`Graph::in_sources`]; adds `d_in(v)` to `width`.
+/// `coin(v, d_in(v))` yields the coin-table entry of a non-empty list.
 ///
 /// Where a node's in-edges share one probability (weighted-cascade
 /// graphs, and most real datasets), the scan jumps geometrically to the
 /// next live edge instead of flipping a coin per edge —
-/// distribution-identical to the per-edge scan of [`sample_rr_into`], and it
-/// skips both the coin and the visit-tag lookup for every dead edge.
+/// distribution-identical to the per-edge scan of [`sample_rr_into`].
+/// The draws read only the list's length and probabilities, never its
+/// sources or any visit tag.
+#[inline(always)]
+fn draw_live(
+    g: &Graph,
+    v: NodeId,
+    rng: &mut UicRng,
+    width: &mut u64,
+    coin: &mut impl FnMut(NodeId, usize) -> (f32, f64),
+    mut live: impl FnMut(usize),
+) {
+    let span = g.in_span(v);
+    let d = span.len();
+    *width += d as u64;
+    if d == 0 {
+        return;
+    }
+    let (p, lg) = coin(v, d);
+    if p.is_nan() {
+        // Non-uniform in-list: per-edge coins.
+        let probs = g.in_arc_probs(v);
+        for i in 0..d {
+            if rng.coin(probs.get(i) as f64) {
+                live(span.start + i);
+            }
+        }
+    } else if p >= 1.0 {
+        span.for_each(live);
+    } else if p > 0.0 {
+        let mut i = geom_jump(rng, lg);
+        while i < d {
+            live(span.start + i);
+            i = i.saturating_add(1).saturating_add(geom_jump(rng, lg));
+        }
+    }
+}
+
+/// The IC reverse BFS of [`StandardRrSampler`]. The arena segment of the
+/// set being built is the queue, processed one BFS level (the queued
+/// slice `[head, tail)`) at a time in three passes:
 ///
-/// Upcoming queue nodes are known in advance, so their in-list reads are
-/// prefetched: the offsets when a node is pushed, the first lines of its
-/// sources two slots before it is scanned. Hints never change control
-/// flow or the RNG stream.
+/// 1. draw every live in-edge of the level in queue order
+///    ([`draw_live`]), recording its slot in `live` and prefetching the
+///    source it names;
+/// 2. read each live source and prefetch its visit tag;
+/// 3. mark the sources and push the unmarked ones, in the same order.
+///
+/// A node's draws depend only on its list and the set's own stream, and
+/// nodes pushed while a level runs are only scanned in the next one, so
+/// the RNG consumption, the push order and the deduplication are those
+/// of a node-by-node scan: every set is unchanged. The passes turn the
+/// dependent cache misses of a large graph (list → source → tag) into
+/// independent ones. A one-node level takes the node-by-node path.
+///
+/// Hints never change control flow or the RNG stream: in-list bounds
+/// are prefetched when a node is pushed, the first lines of its sources
+/// two slots before it is scanned.
 fn ic_walk(
     g: &Graph,
     rng: &mut UicRng,
     tags: &mut VisitTags,
+    live: &mut Vec<u32>,
     arena: &mut Vec<NodeId>,
     width: &mut u64,
     mut coin: impl FnMut(NodeId, usize) -> (f32, f64),
@@ -183,47 +241,45 @@ fn ic_walk(
     if n == 0 {
         return;
     }
-    let start = arena.len();
+    let sources = g.in_sources();
     let root = rng.next_below(n);
     tags.mark(root as usize);
+    let mut head = arena.len();
     arena.push(root);
-    let mut head = start;
     while head < arena.len() {
-        if let Some(&ahead) = arena.get(head + 2) {
-            g.prefetch_in_list(ahead);
-        }
-        let v = arena[head];
-        head += 1;
-        let srcs = g.in_neighbors(v);
-        *width += srcs.len() as u64;
-        if srcs.is_empty() {
+        let tail = arena.len();
+        if tail - head == 1 {
+            let v = arena[head];
+            head = tail;
+            draw_live(g, v, rng, width, &mut coin, |slot| {
+                let u = sources[slot];
+                if tags.mark(u as usize) {
+                    g.prefetch_in_offsets(u);
+                    arena.push(u);
+                }
+            });
             continue;
         }
-        let mut push = |u: NodeId| {
+        live.clear();
+        for k in head..tail {
+            if k + 2 < tail {
+                g.prefetch_in_list(arena[k + 2]);
+            }
+            draw_live(g, arena[k], rng, width, &mut coin, |slot| {
+                prefetch(sources.as_ptr().wrapping_add(slot));
+                live.push(slot as u32);
+            });
+        }
+        head = tail;
+        for x in live.iter_mut() {
+            let u = sources[*x as usize];
+            tags.prefetch(u as usize);
+            *x = u;
+        }
+        for &u in live.iter() {
             if tags.mark(u as usize) {
                 g.prefetch_in_offsets(u);
                 arena.push(u);
-            }
-        };
-        let (p, lg) = coin(v, srcs.len());
-        if p.is_nan() {
-            // Non-uniform in-list: per-edge coins (flipped before the
-            // tag lookup, so dead edges never touch the stamp array).
-            let probs = g.in_arc_probs(v);
-            for (i, &u) in srcs.iter().enumerate() {
-                if rng.coin(probs.get(i) as f64) {
-                    push(u);
-                }
-            }
-        } else if p >= 1.0 {
-            for &u in srcs {
-                push(u);
-            }
-        } else if p > 0.0 {
-            let mut i = geom_jump(rng, lg);
-            while i < srcs.len() {
-                push(srcs[i]);
-                i = i.saturating_add(1).saturating_add(geom_jump(rng, lg));
             }
         }
     }
@@ -252,6 +308,7 @@ impl RrSampler for StandardRrSampler {
         StandardScratch {
             tags: VisitTags::new(n),
             coins,
+            live: Vec::new(),
         }
     }
 
@@ -264,14 +321,14 @@ impl RrSampler for StandardRrSampler {
         width: &mut u64,
     ) {
         let mut rng = UicRng::new(split_seed(self.seed, index));
-        let StandardScratch { tags, coins } = scratch;
+        let StandardScratch { tags, coins, live } = scratch;
         match coins {
             CoinTable::Unused => sample_rr_into(g, self.model, &mut rng, tags, arena, width),
             CoinTable::Constant(entry) => {
                 let entry = *entry;
-                ic_walk(g, &mut rng, tags, arena, width, |_, _| entry)
+                ic_walk(g, &mut rng, tags, live, arena, width, |_, _| entry)
             }
-            CoinTable::InDegree(table) => ic_walk(g, &mut rng, tags, arena, width, |_, d| {
+            CoinTable::InDegree(table) => ic_walk(g, &mut rng, tags, live, arena, width, |_, d| {
                 if d >= table.len() {
                     // The weighted-cascade probability, exactly as the
                     // graph derives it: `1 / max(d_in, 1)`.
@@ -279,9 +336,9 @@ impl RrSampler for StandardRrSampler {
                 }
                 table[d]
             }),
-            CoinTable::PerNode(table) => {
-                ic_walk(g, &mut rng, tags, arena, width, |v, _| table[v as usize])
-            }
+            CoinTable::PerNode(table) => ic_walk(g, &mut rng, tags, live, arena, width, |v, _| {
+                table[v as usize]
+            }),
         }
     }
 }
@@ -363,6 +420,74 @@ struct InvertedIndex {
     start: Vec<usize>,
     ids: Vec<u32>,
     sets_indexed: usize,
+}
+
+/// Between the passes of [`RrCollection::ensure_index`], a node's
+/// `start` slot holds its new-entry count above `COUNT_SHIFT` and its
+/// old run length below. A set holds a node at most once, so both are
+/// at most a set count, which the set-id assertion keeps below 2^32.
+const COUNT_SHIFT: u32 = 32;
+const RUN_MASK: usize = (1 << COUNT_SHIFT) - 1;
+const _: () = assert!(
+    usize::BITS >= 64,
+    "the index merge packs two u32 counts per usize"
+);
+
+/// Merge pass 1 over the nodes `lo..lo + runs.len()`, whose `start`
+/// slots are `runs` and whose successor's old offset is `next`: turns
+/// each slot into the node's old run length and adds one count per
+/// member of `suffix` in range.
+fn count_new(runs: &mut [usize], lo: usize, next: usize, suffix: &[NodeId]) {
+    let mut hi = next;
+    for r in runs.iter_mut().rev() {
+        let s = *r;
+        *r = hi - s;
+        debug_assert!(*r <= RUN_MASK, "a run longer than the set count");
+        hi = s;
+    }
+    let end = lo + runs.len();
+    for &v in suffix {
+        let v = v as usize;
+        if (lo..end).contains(&v) {
+            runs[v - lo] += 1 << COUNT_SHIFT;
+        }
+    }
+}
+
+/// Merge pass 3 over the nodes `lo..lo + cursors.len()`: `cursors[i]`
+/// is the `ids` offset of node `lo + i`'s next new id, and `out` the
+/// slice of `ids` from offset `base` that holds these nodes' lists.
+/// Appends the ids of sets `first_new..` to the lists of their members.
+fn scatter_new(
+    cursors: &mut [usize],
+    lo: usize,
+    out: &mut [u32],
+    base: usize,
+    data: &[NodeId],
+    offsets: &[usize],
+    first_new: usize,
+) {
+    // Cursors relative to `out` while scattering: indexing `out` by an
+    // offset less `base` ran at half the speed on two workers (220k sets
+    // on the 1M-node Orkut stand-in).
+    if base > 0 {
+        cursors.iter_mut().for_each(|c| *c -= base);
+    }
+    let end = lo + cursors.len();
+    for (rid, w) in offsets[first_new..].windows(2).enumerate() {
+        let rid = (first_new + rid) as u32;
+        for &v in &data[w[0]..w[1]] {
+            let v = v as usize;
+            if (lo..end).contains(&v) {
+                let at = &mut cursors[v - lo];
+                out[*at] = rid;
+                *at += 1;
+            }
+        }
+    }
+    if base > 0 {
+        cursors.iter_mut().for_each(|c| *c += base);
+    }
 }
 
 /// A growable collection of RR sets with deterministic indexing, stored
@@ -720,11 +845,15 @@ impl RrCollection {
 
     /// Brings the persistent inverted index up to date with the arena.
     ///
-    /// Sets appended since the last call are merged in (old per-node id
-    /// runs are block-copied, new ids appended behind them), so over a
-    /// doubling growth schedule the total indexing work is linear in the
-    /// final arena size — and repeated selections or spread estimates on
-    /// an unchanged collection pay nothing.
+    /// Sets appended since the last call are merged in place: `ids`
+    /// grows by exactly the new entries (`reserve_exact`, so
+    /// [`RrCollection::heap_bytes`] grows by 4 bytes per entry and an
+    /// eviction budget sees no doubling slack), every node's old run
+    /// moves up behind the new ids of the nodes before it, and the new
+    /// ids land after each run. No node-sized array is allocated, so a
+    /// small top-up on a large graph costs two sweeps of `start` plus
+    /// the moved bytes; repeated selections or spread estimates on an
+    /// unchanged collection pay nothing.
     ///
     /// Public because shared-arena holders (the `uic-serve` sharded
     /// registry) index under their *write* lock so that subsequent
@@ -732,133 +861,112 @@ impl RrCollection {
     /// certification loop's coverage counts — can run under a shared
     /// *read* lock.
     ///
-    /// The merge is parallelized by **node-range partitioning**: nodes
-    /// are split into contiguous ranges balanced by per-range id volume;
-    /// because each range's id runs are contiguous in the CSR `ids`
-    /// array, every worker owns a disjoint `ids` slice (plain
-    /// `split_at_mut`, no atomics) and fills it by scanning the new sets
-    /// in id order, keeping only members in its range. The index is
-    /// therefore bit-identical across thread counts.
+    /// The merge runs in three passes:
+    ///
+    /// 1. **count** — each node's `start` slot becomes its old run
+    ///    length (low half) plus its new-entry count (high half; both
+    ///    are set counts, below 2^32 by the set-id assertion);
+    /// 2. **move** — one descending sweep over the nodes turns the slots
+    ///    back into offsets and moves the old runs up, one block per
+    ///    node that gained entries (the runs between two such nodes
+    ///    move together), leaving `start[v + 1]` at the slot of `v`'s
+    ///    first new id;
+    /// 3. **scatter** — the new sets are read in id order and each
+    ///    member's cursor `start[v + 1]` advances to its final offset.
+    ///
+    /// Passes 1 and 3 split the nodes into contiguous ranges, one per
+    /// worker: each worker scans the whole suffix and touches only its
+    /// own `start` slots and, in pass 3, its own `ids` slots (disjoint
+    /// `split_at_mut` slices, no atomics). Pass 3's ranges are balanced
+    /// by new entries. Each node's list is its old run followed by its
+    /// new ids in increasing order whatever the split, so the index is
+    /// bit-identical across thread counts and to a one-shot build.
     pub fn ensure_index(&mut self) {
         let n = self.num_nodes as usize;
         if self.index.start.len() != n + 1 {
             self.index.start = vec![0; n + 1];
         }
         let len = self.len();
-        if self.index.sets_indexed == len {
+        let first_new = self.index.sets_indexed;
+        if first_new == len {
             return;
         }
         assert!(len <= u32::MAX as usize, "set ids exceed u32 range");
-        let first_new = self.index.sets_indexed;
-        let old_start = std::mem::take(&mut self.index.start);
-        let old_ids = std::mem::take(&mut self.index.ids);
-        let suffix = &self.data[self.offsets[first_new]..];
+        let (data, offsets) = (&self.data, &self.offsets);
+        let suffix = &data[offsets[first_new]..];
         let threads = self
             .threads
             .unwrap_or_else(|| parallelism(suffix.len() + n, 1 << 14));
+        let InvertedIndex { start, ids, .. } = &mut self.index;
+        let old_total = ids.len();
+        let added = suffix.len();
 
-        // Per-node entry counts of the un-indexed suffix. Parallel
-        // counting uses the same node-range trick: each worker scans the
-        // whole suffix but counts only its contiguous slice of `add`.
-        let mut add = vec![0usize; n];
+        // Pass 1: count, over equal node ranges.
         if threads <= 1 {
-            for &v in suffix {
-                add[v as usize] += 1;
-            }
+            count_new(&mut start[..n], 0, old_total, suffix);
         } else {
-            let chunk = n.div_ceil(threads);
+            let chunk = n.div_ceil(threads).max(1);
+            let nexts: Vec<usize> = (1..=threads).map(|t| start[(t * chunk).min(n)]).collect();
             thread::scope(|scope| {
-                for (t, counts) in add.chunks_mut(chunk).enumerate() {
-                    let lo = t * chunk;
-                    scope.spawn(move |_| {
-                        let hi = lo + counts.len();
-                        for &v in suffix {
-                            let v = v as usize;
-                            if (lo..hi).contains(&v) {
-                                counts[v - lo] += 1;
-                            }
-                        }
-                    });
+                for ((t, runs), next) in start[..n].chunks_mut(chunk).enumerate().zip(nexts) {
+                    scope.spawn(move |_| count_new(runs, t * chunk, next, suffix));
                 }
             })
             .expect("crossbeam scope failed");
         }
 
-        let mut start = vec![0usize; n + 1];
-        for v in 0..n {
-            start[v + 1] = start[v] + (old_start[v + 1] - old_start[v]) + add[v];
+        // Pass 2: move. `shift` is the number of new entries at nodes
+        // below the current one, so the pending block of old runs
+        // `old_hi..blk_hi` moves up by `shift` until a node with new
+        // entries ends it. Scatter bounds are picked on the way down:
+        // range t starts at the first node with `t/threads` of the new
+        // entries below it.
+        let mut bounds = vec![(0usize, 0usize); threads + 1];
+        bounds[threads] = (n, old_total + added);
+        let mut next_bound = threads - 1;
+        ids.reserve_exact(added);
+        ids.resize(old_total + added, 0);
+        let (mut old_hi, mut blk_hi, mut shift) = (old_total, old_total, added);
+        for v in (0..n).rev() {
+            let (run, count) = (start[v] & RUN_MASK, start[v] >> COUNT_SHIFT);
+            let new_hi = old_hi + shift;
+            if count > 0 {
+                ids.copy_within(old_hi..blk_hi, new_hi);
+                blk_hi = old_hi;
+                shift -= count;
+            }
+            start[v + 1] = old_hi + shift;
+            while next_bound > 0 && shift < added * next_bound / threads {
+                bounds[next_bound] = (v + 1, new_hi);
+                next_bound -= 1;
+            }
+            old_hi -= run;
         }
-        let mut ids = vec![0u32; start[n]];
+        start[0] = 0;
 
+        // Pass 3: scatter.
         if threads <= 1 {
-            // Block-copy each node's existing run, leaving its cursor at
-            // the append position for the new ids.
-            let mut cursor = vec![0usize; n];
-            for v in 0..n {
-                let old = &old_ids[old_start[v]..old_start[v + 1]];
-                ids[start[v]..start[v] + old.len()].copy_from_slice(old);
-                cursor[v] = start[v] + old.len();
-            }
-            for rid in first_new..len {
-                for &v in self.get(rid) {
-                    ids[cursor[v as usize]] = rid as u32;
-                    cursor[v as usize] += 1;
-                }
-            }
+            scatter_new(&mut start[1..], 0, ids, 0, data, offsets, first_new);
         } else {
-            // Node-range boundaries balanced by id volume: range t ends
-            // at the first node whose cumulative id count reaches
-            // `(t + 1)/threads` of the total.
-            let total = start[n];
-            let mut bounds = Vec::with_capacity(threads + 1);
-            bounds.push(0usize);
-            for t in 1..threads {
-                let goal = total * t / threads;
-                let v = start.partition_point(|&s| s < goal).min(n);
-                bounds.push(v.max(*bounds.last().expect("non-empty")));
-            }
-            bounds.push(n);
-            let (data, offsets) = (&self.data, &self.offsets);
-            let (start_ref, old_start_ref, old_ids_ref) = (&start, &old_start, &old_ids);
-            let mut rest: &mut [u32] = &mut ids;
+            let mut cursors = &mut start[1..];
+            let mut out = &mut ids[..];
             thread::scope(|scope| {
                 for w in bounds.windows(2) {
-                    let (vlo, vhi) = (w[0], w[1]);
-                    let base = start_ref[vlo];
-                    let (mine, tail) =
-                        std::mem::take(&mut rest).split_at_mut(start_ref[vhi] - base);
-                    rest = tail;
-                    if vlo == vhi {
-                        continue;
+                    let ((vlo, base), (vhi, end)) = (w[0], w[1]);
+                    let (mine, rest) = std::mem::take(&mut cursors).split_at_mut(vhi - vlo);
+                    cursors = rest;
+                    let (slots, rest) = std::mem::take(&mut out).split_at_mut(end - base);
+                    out = rest;
+                    if vlo < vhi {
+                        scope.spawn(move |_| {
+                            scatter_new(mine, vlo, slots, base, data, offsets, first_new)
+                        });
                     }
-                    scope.spawn(move |_| {
-                        let mut cursor = vec![0usize; vhi - vlo];
-                        for v in vlo..vhi {
-                            let old = &old_ids_ref[old_start_ref[v]..old_start_ref[v + 1]];
-                            let at = start_ref[v] - base;
-                            mine[at..at + old.len()].copy_from_slice(old);
-                            cursor[v - vlo] = at + old.len();
-                        }
-                        for rid in first_new..len {
-                            for &v in &data[offsets[rid]..offsets[rid + 1]] {
-                                let v = v as usize;
-                                if (vlo..vhi).contains(&v) {
-                                    mine[cursor[v - vlo]] = rid as u32;
-                                    cursor[v - vlo] += 1;
-                                }
-                            }
-                        }
-                    });
                 }
             })
             .expect("crossbeam scope failed");
         }
-
-        self.index = InvertedIndex {
-            start,
-            ids,
-            sets_indexed: len,
-        };
+        self.index.sets_indexed = len;
     }
 
     /// Ids (in increasing order) of every indexed set containing `v`.

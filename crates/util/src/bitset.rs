@@ -183,6 +183,14 @@ impl VisitTags {
     pub fn is_marked(&self, i: usize) -> bool {
         self.stamp[i] == self.epoch
     }
+
+    /// Hints that slot `i` will be marked or tested soon: pulls its
+    /// stamp's cache line toward the core. A hint only; it changes no
+    /// result.
+    #[inline]
+    pub fn prefetch(&self, i: usize) {
+        crate::prefetch(self.stamp.as_ptr().wrapping_add(i));
+    }
 }
 
 #[cfg(test)]
