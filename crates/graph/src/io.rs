@@ -13,7 +13,6 @@
 use crate::builder::{GraphBuilder, Weighting};
 use crate::graph::{Graph, GraphError};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 /// Errors surfaced while parsing an edge list.
 #[derive(Debug)]
@@ -130,15 +129,6 @@ pub fn read_edge_list<R: Read>(
     Ok(b.try_build(weighting, seed)?)
 }
 
-/// Reads an edge-list file from `path`.
-pub fn read_edge_list_file<P: AsRef<Path>>(
-    path: P,
-    weighting: Weighting,
-    seed: u64,
-) -> Result<Graph, IoError> {
-    read_edge_list(std::fs::File::open(path)?, weighting, seed)
-}
-
 /// Writes a graph as an edge list (with probabilities and an `# n` header).
 pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
@@ -147,11 +137,6 @@ pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> std::io::Result<()> {
         writeln!(w, "{u} {v} {p}")?;
     }
     w.flush()
-}
-
-/// Writes a graph to a file at `path`.
-pub fn write_edge_list_file<P: AsRef<Path>>(g: &Graph, path: P) -> std::io::Result<()> {
-    write_edge_list(g, std::fs::File::create(path)?)
 }
 
 #[cfg(test)]
@@ -256,17 +241,5 @@ mod tests {
         let g = read_edge_list("".as_bytes(), Weighting::AsGiven, 0).unwrap();
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("uic_graph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.txt");
-        let g = Graph::from_edges(2, &[(0, 1, 1.0)]);
-        write_edge_list_file(&g, &path).unwrap();
-        let g2 = read_edge_list_file(&path, Weighting::AsGiven, 0).unwrap();
-        assert_eq!(g2.num_edges(), 1);
-        std::fs::remove_file(&path).ok();
     }
 }

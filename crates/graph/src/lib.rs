@@ -29,9 +29,9 @@
 //!   version is rejected as unsupported.
 //! * [`storage`] — [`SectionStorage`], the owned-or-borrowed section
 //!   representation behind every CSR array.
-//! * [`traversal`] — BFS/DFS reachability, weakly connected components,
-//!   Tarjan SCC, and subgraph extraction (used to take the largest SCC of
-//!   the Flixster stand-in and BFS prefixes for the scalability test).
+//! * [`traversal`] — Tarjan SCC and subgraph extraction (used to take
+//!   the largest SCC of the Flixster stand-in and BFS prefixes for the
+//!   scalability test).
 //! * [`community`] — node → community labelings ([`CommunityLabels`]),
 //!   the graph-side carrier for fairness-aware welfare objectives.
 //! * [`io`] — plain-text edge-list reader/writer.
@@ -58,6 +58,5 @@ pub use snapshot::{
 pub use stats::GraphStats;
 pub use storage::{SectionElem, SectionStorage};
 pub use traversal::{
-    bfs_prefix_subgraph, induced_subgraph, largest_scc, reachable_from,
-    strongly_connected_components, weakly_connected_components,
+    bfs_prefix_subgraph, induced_subgraph, largest_scc, strongly_connected_components,
 };

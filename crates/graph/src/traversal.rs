@@ -1,54 +1,7 @@
-//! Graph traversal: reachability, connected components, SCC, subgraphs.
+//! Graph traversal: strongly connected components and subgraphs.
 
 use crate::graph::{Graph, NodeId};
 use uic_util::VisitTags;
-
-/// Nodes reachable from `sources` by forward BFS (includes the sources).
-pub fn reachable_from(g: &Graph, sources: &[NodeId]) -> Vec<NodeId> {
-    let mut tags = VisitTags::new(g.num_nodes() as usize);
-    let mut queue: Vec<NodeId> = Vec::new();
-    for &s in sources {
-        if tags.mark(s as usize) {
-            queue.push(s);
-        }
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        for &v in g.out_neighbors(u) {
-            if tags.mark(v as usize) {
-                queue.push(v);
-            }
-        }
-    }
-    queue
-}
-
-/// Weakly connected components; returns `(component_id_per_node, count)`.
-pub fn weakly_connected_components(g: &Graph) -> (Vec<u32>, u32) {
-    let n = g.num_nodes() as usize;
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut stack: Vec<NodeId> = Vec::new();
-    for start in 0..n {
-        if comp[start] != u32::MAX {
-            continue;
-        }
-        comp[start] = next;
-        stack.push(start as NodeId);
-        while let Some(u) = stack.pop() {
-            for &v in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-                if comp[v as usize] == u32::MAX {
-                    comp[v as usize] = next;
-                    stack.push(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next)
-}
 
 /// Tarjan's strongly connected components, iterative (no recursion, safe
 /// for million-node graphs). Returns `(scc_id_per_node, count)`; ids are
@@ -241,35 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability_on_line() {
-        let g = line(5);
-        assert_eq!(reachable_from(&g, &[0]).len(), 5);
-        assert_eq!(reachable_from(&g, &[3]), vec![3, 4]);
-        assert_eq!(reachable_from(&g, &[4]), vec![4]);
-        let multi = reachable_from(&g, &[2, 4]);
-        assert_eq!(multi.len(), 3);
-    }
-
-    #[test]
-    fn reachable_from_empty_sources() {
-        let g = line(3);
-        assert!(reachable_from(&g, &[]).is_empty());
-    }
-
-    #[test]
-    fn wcc_counts() {
-        let mut edges = vec![(0u32, 1u32, 1.0f32)];
-        edges.push((2, 3, 1.0));
-        let g = Graph::from_edges(5, &edges); // node 4 isolated
-        let (comp, count) = weakly_connected_components(&g);
-        assert_eq!(count, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[0], comp[4]);
-    }
-
-    #[test]
     fn scc_on_two_cycles() {
         let g = two_cycles();
         let (scc, count) = strongly_connected_components(&g);
@@ -311,13 +235,23 @@ mod tests {
                 }
             }
             let g = Graph::from_edges(n, &edges);
-            // Brute-force mutual reachability.
-            let mut reach = vec![vec![false; n as usize]; n as usize];
-            for u in 0..n {
-                for v in reachable_from(&g, &[u]) {
-                    reach[u as usize][v as usize] = true;
-                }
-            }
+            // Brute-force reachability: a DFS from every node.
+            let reach: Vec<Vec<bool>> = (0..n)
+                .map(|u| {
+                    let mut seen = vec![false; n as usize];
+                    seen[u as usize] = true;
+                    let mut stack = vec![u];
+                    while let Some(x) = stack.pop() {
+                        for &y in g.out_neighbors(x) {
+                            if !seen[y as usize] {
+                                seen[y as usize] = true;
+                                stack.push(y);
+                            }
+                        }
+                    }
+                    seen
+                })
+                .collect();
             let (scc, _) = strongly_connected_components(&g);
             for u in 0..n as usize {
                 for v in 0..n as usize {
