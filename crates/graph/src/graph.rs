@@ -544,7 +544,7 @@ impl Graph {
     /// In-neighbors of `v` (sources only).
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.in_from[self.in_off[v as usize]..self.in_off[v as usize + 1]]
+        &self.in_from[self.in_span(v)]
     }
 
     /// Every in-list, concatenated in node order: `in_neighbors(v)` is
@@ -672,7 +672,7 @@ impl Graph {
     /// coin cache with forward simulations of the same world.
     #[inline]
     pub fn in_edge_ids(&self, v: NodeId) -> &[u32] {
-        &self.in_eid[self.in_off[v as usize]..self.in_off[v as usize + 1]]
+        &self.in_eid[self.in_span(v)]
     }
 
     /// Iterates over all edges as `(src, dst, p)` triples.
