@@ -37,7 +37,7 @@ use uic_diffusion::SolveReport;
 use uic_graph::{Graph, NodeId};
 use uic_im::{imm, node_selection, DiffusionModel, RrCollection, RrSampler};
 use uic_items::GapParams;
-use uic_util::{log_choose, split_seed, EdgeStatusCache, EpochMap, UicRng, VisitTags};
+use uic_util::{log_choose, split_seed, EpochMap, UicRng, VisitTags};
 
 /// TIM's RR-set budget: `θ = λ/KPT`,
 /// `λ = (8 + 2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/ε²`, capped at
@@ -183,17 +183,19 @@ pub fn rr_sim_plus(
 }
 
 /// Dense per-world scratch shared by RR-CIM's forward and reverse
-/// passes: edge coins, per-node adoption decisions, adopter marks, and
-/// the reusable BFS queue. All components are epoch-stamped, so
+/// passes: per-node adoption decisions, adopter marks, and the reusable
+/// BFS queue. All components are epoch-stamped, so
 /// [`WorldScratch::reset`] is `O(1)`.
 ///
-/// Edge liveness is a **pure function of `(world_seed, edge id)`** —
-/// the cache only memoizes it. This is what keeps every RR-CIM sample a
-/// pure function of `(seed, index)`: a worker that re-simulates a world
-/// at a chunk boundary reconstructs exactly the coins another worker's
-/// earlier reverse passes would have cached.
+/// Edge liveness is a **pure function of `(world_seed, edge id, p)`**,
+/// recomputed wherever a pass reads the edge. This is what keeps every
+/// RR-CIM sample a pure function of `(seed, index)`: a worker that
+/// re-simulates a world at a chunk boundary sees exactly the coins
+/// another worker's reverse passes saw, and the forward pass (reading
+/// `out_arc_probs`) and the reverse pass (reading `in_arc_probs`) agree
+/// on every edge because both sides store bit-equal probabilities per
+/// edge id.
 struct WorldScratch {
-    edge_cache: EdgeStatusCache,
     informed: EpochMap<bool>,
     adopters: VisitTags,
     queue: Vec<NodeId>,
@@ -203,7 +205,6 @@ struct WorldScratch {
 impl WorldScratch {
     fn new(g: &Graph) -> WorldScratch {
         WorldScratch {
-            edge_cache: EdgeStatusCache::new(g.num_edges()),
             informed: EpochMap::new(g.num_nodes() as usize),
             adopters: VisitTags::new(g.num_nodes() as usize),
             queue: Vec::new(),
@@ -213,22 +214,17 @@ impl WorldScratch {
 
     /// Forgets the current world and fixes the new one's edge-coin seed.
     fn reset(&mut self, world_seed: u64) {
-        self.edge_cache.reset();
         self.informed.reset();
         self.adopters.reset();
         self.world_seed = world_seed;
     }
 
     /// Whether edge `eid` is live in this world, at probability `p`:
-    /// `split_seed(world_seed, eid)` hashed to a uniform in `[0, 1)`,
-    /// memoized in the epoch cache.
+    /// `split_seed(world_seed, eid)` hashed to a uniform in `[0, 1)`.
     #[inline]
-    fn edge_live(&mut self, eid: usize, p: f64) -> bool {
-        let ws = self.world_seed;
-        self.edge_cache.get_or_flip(eid, || {
-            let u = split_seed(ws, eid as u64);
-            ((u >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
-        })
+    fn edge_live(&self, eid: usize, p: f64) -> bool {
+        let u = split_seed(self.world_seed, eid as u64);
+        ((u >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
     }
 }
 
@@ -258,8 +254,9 @@ fn forward_item1(
         let probs = g.out_arc_probs(u);
         let first_eid = g.out_edge_id(u, 0);
         for (i, &v) in nbrs.iter().enumerate() {
-            let live = scratch.edge_live(first_eid + i, probs.get(i) as f64);
-            if !live || scratch.adopters.is_marked(v as usize) {
+            if scratch.adopters.is_marked(v as usize)
+                || !scratch.edge_live(first_eid + i, probs.get(i) as f64)
+            {
                 continue;
             }
             // One adoption decision per informed node.
@@ -289,10 +286,10 @@ const BATCH: u64 = 32;
 /// [`RrSampler`] for RR-CIM's complement-aware sets: sample `index`
 /// lives in world `index / BATCH`; its reverse pass uses node coins
 /// `q_{2|1}` on that world's item-1 adopters and `q_{2|∅}` elsewhere,
-/// sharing the world's hash-stream edge coins through the cached
-/// [`WorldScratch`]. Both the forward pass and the edge coins are pure
-/// functions of `(seed, world)`, so chunk boundaries may re-simulate a
-/// world at will and the output stays a pure function of
+/// sharing the world's hash-stream edge coins
+/// ([`WorldScratch::edge_live`]). Both the forward pass and the edge
+/// coins are pure functions of `(seed, world)`, so chunk boundaries may
+/// re-simulate a world at will and the output stays a pure function of
 /// `(seed, index)` under any thread count (tested on graphs with edges
 /// the forward pass never reaches).
 struct CimSampler<'a> {

@@ -1,29 +1,18 @@
 //! # uic-bench
 //!
-//! Criterion benchmark suite — one target per paper table/figure plus
-//! design-choice ablations. Each bench uses deliberately small stand-in
-//! networks so `cargo bench --workspace` completes on a laptop; the
-//! `uic-exp` binary is the tool for full-scale regeneration.
+//! Criterion micro-benchmarks of single layers, each the source of a
+//! number recorded in a `BENCH_*.json` file or the README. Run one with
+//! `cargo bench -p uic-bench --bench <name>`; end-to-end and per-layer
+//! numbers come from the `uic-bench/` harness, and full-scale paper
+//! tables and figures from the `uic-exp` binary.
 //!
 //! Targets:
-//! * `table2_networks` — stand-in generation + statistics.
-//! * `table6_rrsets` — PRIMA vs MAX_IMM vs IMM_MAX RR accounting.
-//! * `fig4_welfare` — the five allocators + welfare scoring, Config 1.
-//! * `fig5_runtime` — seed-selection time per algorithm.
-//! * `fig6_rrsets` — RR-set generation cost per algorithm family.
-//! * `fig7_multiitem` — multi-item configs, three allocators.
-//! * `fig8a_items` — bundleGRD's flat cost vs item count.
-//! * `fig8d_skew` — budget-skew effect on bundleGRD.
-//! * `fig9_bdhs` — BDHS benchmarks vs propagated welfare.
-//! * `fig9d_scaling` — bundleGRD across graph sizes.
-//! * `ablations` — PRIMA vs per-budget IMM, adoption-oracle memoization,
-//!   UIC simulator throughput.
-
-/// Shared tiny-scale experiment options for benches.
-pub fn bench_opts() -> uic_experiments::ExpOptions {
-    uic_experiments::ExpOptions {
-        scale: 0.008,
-        sims: 50,
-        ..Default::default()
-    }
-}
+//! * `engine` — the dense cascade engine against its hash-map reference.
+//! * `graph_io` — stand-in generation against snapshot save and load.
+//! * `rrset_pipeline` — RR-set generation plus greedy seed selection.
+//! * `scaling` — RR generation, selection and welfare at pinned worker
+//!   counts.
+//! * `selection_plan` — cold greedy selection against plan-cache slices.
+//! * `serve_latency` — per-query latency and throughput over loopback
+//!   TCP against an in-process `uic-serve`.
+//! * `welfare_objectives` — estimator cost per welfare objective.

@@ -4,8 +4,7 @@
 //! algorithms are sensitive to: heavy-tailed degree distributions (hub
 //! structure drives RR-set sizes and seed quality), controllable density,
 //! and directed/undirected variants. Preferential attachment delivers
-//! the power-law tail; Erdős–Rényi and Watts–Strogatz serve tests and
-//! ablations.
+//! the power-law tail; Erdős–Rényi serves tests and ablations.
 
 use uic_graph::{Graph, GraphBuilder, Weighting};
 use uic_util::UicRng;
@@ -114,32 +113,6 @@ pub fn erdos_renyi(n: u32, m: usize, seed: u64) -> Graph {
     builder.build(Weighting::WeightedCascade, seed ^ 0x5eed)
 }
 
-/// Watts–Strogatz small world: ring lattice with `k` neighbors per side,
-/// each edge rewired with probability `beta`; returned as a bidirected
-/// graph with weighted-cascade probabilities.
-pub fn watts_strogatz(n: u32, k: u32, beta: f64, seed: u64) -> Graph {
-    assert!(n >= 4 && k >= 1 && (2 * k) < n, "invalid ring lattice");
-    assert!((0.0..=1.0).contains(&beta));
-    let mut rng = UicRng::new(seed);
-    let mut builder = GraphBuilder::new(n).dedup(true);
-    for v in 0..n {
-        for j in 1..=k {
-            let mut t = (v + j) % n;
-            if rng.coin(beta) {
-                // Rewire to a uniform non-self target.
-                loop {
-                    t = rng.next_below(n);
-                    if t != v {
-                        break;
-                    }
-                }
-            }
-            builder.add_undirected(v, t);
-        }
-    }
-    builder.build(Weighting::WeightedCascade, seed ^ 0x5eed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,30 +193,6 @@ mod tests {
             assert!(u != v, "self loop");
             assert!(seen.insert((u, v)), "duplicate edge ({u},{v})");
         }
-    }
-
-    #[test]
-    fn ws_ring_structure() {
-        let g = watts_strogatz(50, 2, 0.0, 1);
-        // β = 0: pure ring, every node has exactly 2k undirected = 4 arcs
-        // out (2 added by itself, 2 by neighbors) modulo dedup.
-        assert_eq!(g.num_nodes(), 50);
-        for v in 0..50u32 {
-            assert_eq!(g.out_degree(v), 4, "node {v}");
-        }
-    }
-
-    #[test]
-    fn ws_rewiring_changes_topology() {
-        let ring = watts_strogatz(60, 2, 0.0, 2);
-        let rewired = watts_strogatz(60, 2, 0.8, 2);
-        let ring_edges: std::collections::HashSet<(u32, u32)> =
-            ring.edges().map(|(u, v, _)| (u, v)).collect();
-        let moved = rewired
-            .edges()
-            .filter(|&(u, v, _)| !ring_edges.contains(&(u, v)))
-            .count();
-        assert!(moved > 20, "rewiring should move many edges, moved {moved}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Everything the experiments consume:
 //!
 //! * [`generators`] — synthetic network generators (directed/undirected
-//!   preferential attachment, Erdős–Rényi, Watts–Strogatz).
+//!   preferential attachment, Erdős–Rényi).
 //! * [`cache`] — the [`SnapshotCache`]: generated networks keyed by a
 //!   hash of (generator spec, scale, seed, weighting), stored in the
 //!   `uic_graph::snapshot` binary format so repeated runs load in
@@ -42,7 +42,7 @@ pub mod spec;
 pub use cache::{CacheKey, SnapshotCache, CACHE_ENV_VAR};
 pub use communities::community_partition;
 pub use configs::{budget_splits, Config, TwoItemConfig};
-pub use generators::{erdos_renyi, preferential_attachment, watts_strogatz, PaOptions};
+pub use generators::{erdos_renyi, preferential_attachment, PaOptions};
 pub use networks::{named_network, network_degree_table, network_stats_table, NamedNetwork};
 pub use real_params::{real_param_model, real_params_table, REAL_ITEM_NAMES};
 pub use spec::{SolverSpec, SpecError, SpecMap, MAX_SPEC_PAIRS, MAX_SPEC_TEXT_LEN, MAX_TOKEN_LEN};

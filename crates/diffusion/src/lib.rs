@@ -8,11 +8,9 @@
 //!   simulation, Monte-Carlo spread `σ(S)`, and exact spread by edge-world
 //!   enumeration on tiny graphs.
 //! * [`lt`] — the Linear Threshold model (needed because §5 notes the
-//!   results "carry over unchanged to any triggering model"; the LT RR-set
-//!   sampler in `uic-im` shares its live-edge view).
-//! * [`triggering`] — the general Triggering model behind that §5 claim:
-//!   a [`TriggeringSampler`] abstraction with IC, LT and a uniform-subset
-//!   instance, plus forward simulation and MC spread.
+//!   results "carry over unchanged to any triggering model"): the forward
+//!   reference simulator that `uic-im`'s LT RR-set sampler is tested
+//!   against.
 //! * [`worlds`] — sampled live-edge worlds `W^E` and their enumeration
 //!   with probabilities (the possible-world semantics of §4.1.1).
 //! * [`engine`] — the one UIC cascade kernel ([`CascadeState`]): one
@@ -31,28 +29,22 @@
 //! * [`welfare`] — Monte-Carlo social-welfare estimation
 //!   `ρ(𝒮) = E_{W^N} E_{W^E} [ Σ_v U(A_v) ]`, parallelized with
 //!   deterministic seed splitting; plus exact tiny-instance welfare.
-//! * [`comic`] — the Com-IC model of Lu et al. (two items, GAP
-//!   parameters + reconsideration), the substrate for the RR-SIM+/RR-CIM
-//!   baselines.
 //! * [`report`] — [`SolveReport`], the unified result every WelMax
 //!   allocator returns: allocation, welfare mean ± CI, timing, RR-set
 //!   counters, seed, and budget usage.
 
 pub mod allocation;
-pub mod comic;
 pub mod engine;
 pub mod ic;
 pub mod lt;
 pub mod objective;
 pub mod personalized;
 pub mod report;
-pub mod triggering;
 pub mod uic;
 pub mod welfare;
 pub mod worlds;
 
 pub use allocation::Allocation;
-pub use comic::{ComicOutcome, ComicSimulator};
 pub use engine::{CascadeState, EdgeOracle, LazyCoins, WorldOracle};
 pub use ic::{exact_spread, simulate_ic, spread_mc};
 pub use lt::simulate_lt;
@@ -63,10 +55,6 @@ pub use personalized::{
     personalized_welfare_mc, simulate_uic_personalized, PersonalizedOutcome, PersonalizedSimulator,
 };
 pub use report::SolveReport;
-pub use triggering::{
-    simulate_triggering, spread_triggering_mc, IcTriggering, LtTriggering, TriggeringSampler,
-    UniformSubsetTriggering,
-};
 pub use uic::{simulate_uic, simulate_uic_in_world, UicOutcome, UicSimulator};
 pub use welfare::{exact_welfare_given_noise, exact_welfare_given_noise_for, WelfareEstimator};
 pub use worlds::{enumerate_edge_worlds, LiveEdgeWorld};

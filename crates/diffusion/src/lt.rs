@@ -6,7 +6,7 @@
 //! equivalent triggering/live-edge view — each node picks **at most one**
 //! in-edge with probability proportional to its weight — is what the LT
 //! RR-set sampler in `uic-im` uses; this module provides the forward
-//! simulator and the world-equivalence test.
+//! simulator that sampler's spread estimates are tested against.
 
 use uic_graph::{Graph, NodeId};
 use uic_util::{UicRng, VisitTags};
@@ -56,63 +56,9 @@ pub fn simulate_lt(g: &Graph, seeds: &[NodeId], rng: &mut UicRng) -> usize {
     queue.len()
 }
 
-/// Samples the LT *triggering set* world: for each node, at most one
-/// in-edge is selected (edge `(u,v)` with probability `p(u,v)`, none with
-/// probability `1 − Σ_u p(u,v)`). Returns `chosen[v] = Some(u)` or `None`.
-/// LT spread equals reachability through chosen edges (Kempe et al.'s
-/// equivalence), which the tests verify against [`simulate_lt`].
-pub fn sample_lt_triggering(g: &Graph, rng: &mut UicRng) -> Vec<Option<NodeId>> {
-    let n = g.num_nodes() as usize;
-    let mut chosen = vec![None; n];
-    for v in 0..g.num_nodes() {
-        let srcs = g.in_neighbors(v);
-        if srcs.is_empty() {
-            continue;
-        }
-        let probs = g.in_arc_probs(v);
-        let x = rng.next_f64();
-        let mut acc = 0.0f64;
-        for (i, &u) in srcs.iter().enumerate() {
-            acc += probs.get(i) as f64;
-            if x < acc {
-                chosen[v as usize] = Some(u);
-                break;
-            }
-        }
-    }
-    chosen
-}
-
-/// Spread in a fixed triggering world: nodes reachable from seeds through
-/// the chosen in-edges.
-pub fn lt_world_spread(g: &Graph, chosen: &[Option<NodeId>], seeds: &[NodeId]) -> usize {
-    let n = g.num_nodes() as usize;
-    let mut active = VisitTags::new(n);
-    let mut queue: Vec<NodeId> = Vec::new();
-    for &s in seeds {
-        if active.mark(s as usize) {
-            queue.push(s);
-        }
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        // v activates if its chosen in-edge source is active.
-        for &v in g.out_neighbors(u) {
-            if !active.is_marked(v as usize) && chosen[v as usize] == Some(u) {
-                active.mark(v as usize);
-                queue.push(v);
-            }
-        }
-    }
-    queue.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uic_util::split_seed;
 
     fn lt_graph() -> Graph {
         // In-weights sum to ≤ 1 everywhere.
@@ -142,47 +88,5 @@ mod tests {
             let count = simulate_lt(&g, &[0, 2], &mut rng);
             assert!(count >= 3, "node 1 must always activate, got {count}");
         }
-    }
-
-    #[test]
-    fn triggering_world_equivalence() {
-        // E[spread] under forward LT == E[reach] under triggering worlds.
-        let g = lt_graph();
-        let sims = 60_000u64;
-        let mut fwd = 0.0;
-        let mut trig = 0.0;
-        for s in 0..sims {
-            let mut rng = UicRng::new(split_seed(11, s));
-            fwd += simulate_lt(&g, &[0], &mut rng) as f64;
-            let mut rng = UicRng::new(split_seed(13, s));
-            let world = sample_lt_triggering(&g, &mut rng);
-            trig += lt_world_spread(&g, &world, &[0]) as f64;
-        }
-        let (fwd, trig) = (fwd / sims as f64, trig / sims as f64);
-        assert!(
-            (fwd - trig).abs() < 0.03,
-            "forward {fwd} vs triggering {trig}"
-        );
-    }
-
-    #[test]
-    fn triggering_selection_distribution() {
-        let g = lt_graph();
-        let mut count_from0 = 0u32;
-        let mut count_from2 = 0u32;
-        let mut count_none = 0u32;
-        for s in 0..30_000u64 {
-            let mut rng = UicRng::new(split_seed(5, s));
-            match sample_lt_triggering(&g, &mut rng)[1] {
-                Some(0) => count_from0 += 1,
-                Some(2) => count_from2 += 1,
-                None => count_none += 1,
-                other => panic!("unexpected chooser {other:?}"),
-            }
-        }
-        let total = 30_000f64;
-        assert!((count_from0 as f64 / total - 0.6).abs() < 0.02);
-        assert!((count_from2 as f64 / total - 0.4).abs() < 0.02);
-        assert_eq!(count_none, 0, "weights sum to exactly 1 for node 1");
     }
 }

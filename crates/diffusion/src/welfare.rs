@@ -159,33 +159,6 @@ impl<'a> WelfareEstimator<'a> {
         self.estimate_stats(allocation).mean()
     }
 
-    /// Sequential estimation to a target precision: doubles the sample
-    /// count (starting from this estimator's `sims`) until the 95% CI
-    /// half-width drops to `target_halfwidth` or `max_sims` samples have
-    /// been spent. Sample `s` is always drawn from stream
-    /// `split_seed(seed, s)`, so the result is identical to a one-shot
-    /// run with the final count — batching changes nothing but cost.
-    pub fn estimate_to_precision(
-        &self,
-        allocation: &Allocation,
-        target_halfwidth: f64,
-        max_sims: u32,
-    ) -> OnlineStats {
-        assert!(target_halfwidth > 0.0, "target half-width must be > 0");
-        assert!(max_sims >= self.sims, "max_sims below the initial batch");
-        let mut total = OnlineStats::new();
-        let mut done = 0u32;
-        let mut next = self.sims.min(max_sims);
-        loop {
-            total.merge(&self.stats_range(allocation, done, next));
-            done = next;
-            if total.ci95_halfwidth() <= target_halfwidth || done >= max_sims {
-                return total;
-            }
-            next = done.saturating_mul(2).min(max_sims);
-        }
-    }
-
     /// Full statistics (mean, stderr, CI) of the welfare samples.
     pub fn estimate_stats(&self, allocation: &Allocation) -> OnlineStats {
         self.stats_range(allocation, 0, self.sims)
@@ -499,55 +472,5 @@ mod tests {
         let g = fig2_graph();
         let model = fig2_model();
         WelfareEstimator::new(&g, &model, 0, 1);
-    }
-
-    #[test]
-    fn precision_targeted_estimation_reaches_the_target() {
-        let g = fig2_graph();
-        let model = fig2_model();
-        let est = WelfareEstimator::new(&g, &model, 200, 13);
-        let stats = est.estimate_to_precision(&fig2_alloc(), 0.01, 400_000);
-        assert!(
-            stats.ci95_halfwidth() <= 0.01,
-            "half-width {} above target",
-            stats.ci95_halfwidth()
-        );
-        assert!((stats.mean() - 0.525).abs() < 0.02, "mean {}", stats.mean());
-        assert!(stats.count() > 200, "must have escalated beyond the batch");
-    }
-
-    #[test]
-    fn precision_estimation_respects_the_cap() {
-        let g = fig2_graph();
-        let model = fig2_model();
-        let est = WelfareEstimator::new(&g, &model, 100, 17);
-        // Impossible target: stops at the cap instead of spinning.
-        let stats = est.estimate_to_precision(&fig2_alloc(), 1e-12, 800);
-        assert_eq!(stats.count(), 800);
-    }
-
-    #[test]
-    fn precision_estimation_batching_is_invisible() {
-        // Samples are indexed by stream, so the sequential result equals
-        // a one-shot run with the same final count.
-        let g = fig2_graph();
-        let model = fig2_model();
-        let est = WelfareEstimator::new(&g, &model, 100, 19);
-        let sequential = est.estimate_to_precision(&fig2_alloc(), 1e-12, 800);
-        let oneshot = WelfareEstimator::new(&g, &model, 800, 19).estimate_stats(&fig2_alloc());
-        assert_eq!(sequential.count(), oneshot.count());
-        assert!((sequential.mean() - oneshot.mean()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn precision_estimation_on_deterministic_instance_stops_immediately() {
-        // All-certain edges + zero noise ⇒ zero variance ⇒ the first
-        // batch already has half-width 0.
-        let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
-        let model = fig2_model();
-        let est = WelfareEstimator::new(&g, &model, 50, 23);
-        let stats = est.estimate_to_precision(&fig2_alloc(), 0.001, 10_000);
-        assert_eq!(stats.count(), 50, "no escalation needed");
-        assert_eq!(stats.ci95_halfwidth(), 0.0);
     }
 }

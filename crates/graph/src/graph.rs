@@ -774,27 +774,6 @@ impl Graph {
         }
     }
 
-    /// Replaces every edge probability via `f(src, dst, old) -> new`,
-    /// producing per-edge weight storage.
-    ///
-    /// For the standard schemes prefer [`Graph::reweighted_as`], which
-    /// keeps weighted-cascade and constant outputs in their compact
-    /// representations.
-    pub fn reweighted<F: Fn(NodeId, NodeId, f32) -> f32>(&self, f: F) -> Graph {
-        let edges: Vec<(NodeId, NodeId, f32)> = self
-            .edges()
-            .map(|(u, v, p)| {
-                let np = f(u, v, p);
-                assert!(
-                    (0.0..=1.0).contains(&np),
-                    "reweighted prob {np} out of [0,1]"
-                );
-                (u, v, np)
-            })
-            .collect();
-        Graph::from_edges(self.n, &edges)
-    }
-
     /// Re-derives edge probabilities on the same topology under a
     /// [`crate::Weighting`] scheme, picking the compact representation
     /// where the scheme allows (the Fig. 9d `1/d_in` ↔ constant swap).
@@ -1080,16 +1059,52 @@ mod tests {
 
     #[test]
     fn in_edge_ids_name_the_same_physical_edge() {
-        let g = diamond();
-        for v in 0..3u32 {
-            let srcs = g.in_neighbors(v);
-            let ids = g.in_edge_ids(v);
-            assert_eq!(srcs.len(), ids.len());
-            for (&u, &eid) in srcs.iter().zip(ids) {
-                // The out-edge with that id must be u → v.
-                let base = g.out_edge_id(u, 0);
-                let slot = eid as usize - base;
-                assert_eq!(g.out_neighbors(u)[slot], v);
+        use crate::Weighting;
+        // Node 2 has in-degree 3, so weighted cascade stores a 1/3 that
+        // is not exact in f32. RR-CIM's forward pass reads an edge's
+        // probability from the out side and its reverse pass from the in
+        // side; both must give the same bits under every representation.
+        let per_edge = Graph::from_edges(
+            4,
+            &[
+                (0, 1, 0.5),
+                (0, 2, 0.2),
+                (1, 2, 1.0),
+                (2, 0, 0.3),
+                (3, 2, 0.7),
+            ],
+        );
+        let graphs = [
+            per_edge.reweighted_as(Weighting::WeightedCascade, 0),
+            per_edge.reweighted_as(Weighting::Constant(0.01), 0),
+            per_edge,
+        ];
+        let classes: Vec<_> = graphs.iter().map(Graph::weight_class).collect();
+        assert_eq!(
+            classes,
+            [
+                WeightClass::InDegree,
+                WeightClass::Constant(0.01),
+                WeightClass::PerEdge
+            ]
+        );
+        for g in &graphs {
+            for v in 0..g.num_nodes() {
+                let srcs = g.in_neighbors(v);
+                let ids = g.in_edge_ids(v);
+                assert_eq!(srcs.len(), ids.len());
+                for (i, (&u, &eid)) in srcs.iter().zip(ids).enumerate() {
+                    // The out-edge with that id must be u → v.
+                    let base = g.out_edge_id(u, 0);
+                    let slot = eid as usize - base;
+                    assert_eq!(g.out_neighbors(u)[slot], v);
+                    assert_eq!(
+                        g.in_arc_probs(v).get(i).to_bits(),
+                        g.out_arc_probs(u).get(slot).to_bits(),
+                        "edge {eid} ({u} -> {v}) under {:?}",
+                        g.weight_class()
+                    );
+                }
             }
         }
     }
@@ -1105,13 +1120,6 @@ mod tests {
         }
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn reweighted_applies_function() {
-        let g = diamond().reweighted(|_, _, _| 0.25);
-        assert!(g.edges().all(|(_, _, p)| p == 0.25));
-        assert_eq!(g.weight_class(), WeightClass::PerEdge);
     }
 
     #[test]

@@ -1234,6 +1234,43 @@ mod tests {
     }
 
     #[test]
+    fn lt_rr_sets_match_the_forward_lt_simulator() {
+        // The product's LT sampler against `simulate_lt`, the forward
+        // threshold process: both estimate σ_LT(S), so their gap must sit
+        // within a few standard errors of the two sample means.
+        let lt_graph = Graph::from_edges(4, &[(0, 1, 0.6), (2, 1, 0.4), (1, 3, 0.5), (0, 3, 0.3)]);
+        let mut b = uic_graph::GraphBuilder::new(40);
+        let mut rng = UicRng::new(3);
+        for _ in 0..120 {
+            b.add_edge(rng.next_below(40), rng.next_below(40), 1.0);
+        }
+        let wc_graph = b.build(uic_graph::Weighting::WeightedCascade, 0);
+        let (theta, sims) = (100_000usize, 100_000u64);
+        for (g, seeds) in [(&lt_graph, vec![0]), (&wc_graph, vec![0, 1, 2])] {
+            let n = g.num_nodes() as f64;
+            let mut coll = RrCollection::new(g, DiffusionModel::LT, 31);
+            coll.extend_to(g, theta);
+            let rr = coll.estimate_spread(&seeds);
+            let covered = rr / n;
+            let rr_var = n * n * covered * (1.0 - covered) / theta as f64;
+            let (mut sum, mut sum_sq) = (0.0, 0.0);
+            for s in 0..sims {
+                let spread =
+                    uic_diffusion::simulate_lt(g, &seeds, &mut UicRng::new(split_seed(37, s)));
+                sum += spread as f64;
+                sum_sq += (spread * spread) as f64;
+            }
+            let mc = sum / sims as f64;
+            let mc_var = (sum_sq / sims as f64 - mc * mc) / sims as f64;
+            let tol = 5.0 * (rr_var + mc_var).sqrt();
+            assert!(
+                (rr - mc).abs() < tol,
+                "{n} nodes: RR {rr} vs forward LT {mc} (tolerance {tol})"
+            );
+        }
+    }
+
+    #[test]
     fn lt_rr_sets_are_paths() {
         // In the LT triggering view each node has ≤1 chosen in-edge, so
         // RR sets are simple reverse paths — their length is bounded by n.

@@ -8,17 +8,6 @@
 //! meaningful while its stamp equals the current epoch, so a Monte-Carlo
 //! loop can run millions of cascades against the same allocation without
 //! touching the allocator or re-zeroing node state.
-//!
-//! [`EdgeStatusCache`] is the per-edge specialization used to memoize edge
-//! coins: each edge of a cascade is flipped at most once (Fig. 1 of the
-//! paper), and the cache remembers the outcome for the rest of the cascade
-//! — indexed by the graph's stable global edge id, not a hash of it. It
-//! costs `O(m)` memory per simulator, so only the processes that need a
-//! per-edge memo use it: the Com-IC simulator and the RR-SIM+/RR-CIM
-//! passes, where node coins interleave with edge coins and a node's
-//! out-edges cannot all be flipped up front. The UIC engine and the
-//! personalized-noise simulator instead flip a node's out-edges together
-//! at its first expansion and keep only the live targets, per node.
 
 /// A dense `usize → T` map over a fixed key range with `O(1)` bulk reset.
 ///
@@ -127,75 +116,6 @@ impl<T: Copy + Default> EpochMap<T> {
     }
 }
 
-/// Memoized edge-coin outcomes for one cascade, indexed by global edge id.
-///
-/// Semantically a `Map<EdgeId, bool>` with three states per edge —
-/// untested / live / blocked — stored as an [`EpochMap<bool>`] so that
-/// starting a new cascade is an epoch bump, not a clear. Forward
-/// simulations and reverse (RR-style) traversals of the same possible
-/// world can share one cache through [`Graph::in_edge_ids`]-style stable
-/// ids.
-///
-/// [`Graph::in_edge_ids`]: https://docs.rs/uic-graph
-#[derive(Debug, Clone)]
-pub struct EdgeStatusCache {
-    status: EpochMap<bool>,
-}
-
-impl EdgeStatusCache {
-    /// Cache for a graph with `num_edges` edges, all untested.
-    pub fn new(num_edges: usize) -> Self {
-        EdgeStatusCache {
-            status: EpochMap::new(num_edges),
-        }
-    }
-
-    /// Number of addressable edges.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.status.len()
-    }
-
-    /// True when the cache addresses zero edges.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.status.is_empty()
-    }
-
-    /// Forgets every tested edge in `O(1)` (start of a new cascade/world).
-    #[inline]
-    pub fn reset(&mut self) {
-        self.status.reset();
-    }
-
-    /// The memoized status of `edge_id`: `Some(live)` if tested this
-    /// cascade, `None` if still untested.
-    #[inline]
-    pub fn status(&self, edge_id: usize) -> Option<bool> {
-        self.status.get(edge_id)
-    }
-
-    /// Records the outcome of an edge coin.
-    #[inline]
-    pub fn record(&mut self, edge_id: usize, live: bool) {
-        self.status.insert(edge_id, live);
-    }
-
-    /// Returns the memoized status of `edge_id`, flipping the coin via
-    /// `flip` exactly once per cascade.
-    #[inline]
-    pub fn get_or_flip<F: FnOnce() -> bool>(&mut self, edge_id: usize, flip: F) -> bool {
-        match self.status.get(edge_id) {
-            Some(live) => live,
-            None => {
-                let live = flip();
-                self.status.insert(edge_id, live);
-                live
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,35 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn edge_cache_memoizes_one_flip_per_edge() {
-        let mut c = EdgeStatusCache::new(3);
-        assert_eq!(c.status(0), None);
-        let mut flips = 0;
-        let live = c.get_or_flip(0, || {
-            flips += 1;
-            true
-        });
-        assert!(live);
-        let live = c.get_or_flip(0, || {
-            flips += 1;
-            false
-        });
-        assert!(live, "memoized outcome, second closure never runs");
-        assert_eq!(flips, 1);
-        assert_eq!(c.status(0), Some(true));
-        c.record(1, false);
-        assert_eq!(c.status(1), Some(false));
-        c.reset();
-        assert_eq!(c.status(0), None);
-        assert_eq!(c.status(1), None);
-    }
-
-    #[test]
     fn empty_maps() {
         let m: EpochMap<u8> = EpochMap::new(0);
         assert!(m.is_empty());
-        let c = EdgeStatusCache::new(0);
-        assert!(c.is_empty());
-        assert_eq!(c.len(), 0);
+        assert_eq!(m.len(), 0);
     }
 }

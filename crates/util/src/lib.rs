@@ -7,8 +7,8 @@
 //!   guidance for hashing-heavy database workloads.
 //! * [`bitset`] — dense bitsets and a timestamped visit-tag array that makes
 //!   repeated graph traversals O(1) to "clear".
-//! * [`epoch`] — epoch-stamped dense maps ([`EpochMap`], [`EdgeStatusCache`])
-//!   generalizing the visit-tag trick to arbitrary per-slot values; the
+//! * [`epoch`] — epoch-stamped dense maps ([`EpochMap`]) generalizing the
+//!   visit-tag trick to arbitrary per-slot values; the
 //!   zero-allocation-per-cascade state substrate of the diffusion engine.
 //! * [`hint`] — [`prefetch`], the one cache hint the reverse RR walks and
 //!   the forward cascade kernel issue ahead of their queues.
@@ -52,7 +52,7 @@ pub mod stats;
 pub mod table;
 
 pub use bitset::{BitSet, VisitTags};
-pub use epoch::{EdgeStatusCache, EpochMap};
+pub use epoch::EpochMap;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hint::prefetch;
 pub use json::JsonWriter;

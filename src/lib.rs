@@ -80,10 +80,8 @@ pub mod prelude {
     };
     pub use uic_datasets::{community_partition, SolverSpec, SpecMap};
     pub use uic_diffusion::{
-        simulate_ic, simulate_triggering, simulate_uic, spread_mc, spread_triggering_mc,
-        Allocation, Ces, IcTriggering, LtTriggering, Maximin, ObjectiveError, PerCommunity,
-        TriggeringSampler, UniformSubsetTriggering, Utilitarian, WelfareEstimator,
-        WelfareObjective,
+        simulate_ic, simulate_uic, spread_mc, Allocation, Ces, Maximin, ObjectiveError,
+        PerCommunity, Utilitarian, WelfareEstimator, WelfareObjective,
     };
     pub use uic_graph::{CommunityLabels, Graph, GraphBuilder, GraphStats, NodeId, Weighting};
     pub use uic_im::{imm, opim_c, prima, skim, ssa, tim_plus, DiffusionModel, SkimOptions};
