@@ -1,9 +1,10 @@
 //! RIS pipeline bench: generate θ RR sets and greedily select k seeds —
-//! the §4.2.3 hot path shared by TIM/IMM/OPIM/PRIMA and the Com-IC
+//! the §4.2.3 hot path shared by IMM/OPIM/PRIMA and the Com-IC
 //! baselines. Two shapes per graph size:
 //!
 //! * `oneshot`  — one `extend_to(θ)` followed by one `node_selection`
-//!   (TIM's shape: the sample size is known up front).
+//!   (the TIM-sized Com-IC baselines' shape: the sample size is known
+//!   up front).
 //! * `doubling` — three extend/select rounds with doubling θ (the
 //!   IMM/OPIM shape the persistent inverted index exists for).
 //!

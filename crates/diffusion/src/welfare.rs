@@ -159,12 +159,7 @@ impl<'a> WelfareEstimator<'a> {
         self.estimate_stats(allocation).mean()
     }
 
-    /// Full statistics (mean, stderr, CI) of the welfare samples.
-    pub fn estimate_stats(&self, allocation: &Allocation) -> OnlineStats {
-        self.stats_range(allocation, 0, self.sims)
-    }
-
-    /// Samples per reduction block (see [`Self::stats_range`]).
+    /// Samples per reduction block (see [`Self::estimate_stats`]).
     const BLOCK: usize = 64;
 
     /// Graph work (`n + m` per sample, summed over samples) below which
@@ -176,17 +171,17 @@ impl<'a> WelfareEstimator<'a> {
     /// grains (one sample) there is nothing to split.
     const WORK_GRAIN: usize = 1 << 18;
 
-    /// Statistics over the sample-index range `[first, last)`.
+    /// Full statistics (mean, stderr, CI) of the welfare samples.
     ///
-    /// The per-sample welfare values come from [`Self::sample_values`];
-    /// the range is then cut into fixed [`Self::BLOCK`]-sample blocks,
-    /// each block is accumulated sequentially, and blocks are merged in
-    /// block order. Threads never see the reduction, so the result is
-    /// bit-identical for any thread count (asserted in the test suite).
-    fn stats_range(&self, allocation: &Allocation, first: u32, last: u32) -> OnlineStats {
+    /// The per-sample welfare values come from `sample_values`; they are
+    /// then cut into fixed 64-sample blocks (`BLOCK`), each block is
+    /// accumulated sequentially, and blocks are merged in block order.
+    /// Threads never see the reduction, so the result is bit-identical
+    /// for any thread count (asserted in the test suite).
+    pub fn estimate_stats(&self, allocation: &Allocation) -> OnlineStats {
         let objective: &dyn WelfareObjective = self.objective.as_ref();
         let num_nodes = self.graph.num_nodes();
-        let values = self.sample_values(allocation, first, last, |outcome, table| {
+        let values = self.sample_values(allocation, |outcome, table| {
             objective.welfare(outcome, table, num_nodes)
         });
         let mut total = OnlineStats::new();
@@ -201,7 +196,7 @@ impl<'a> WelfareEstimator<'a> {
     }
 
     /// The one Monte-Carlo sample kernel: `value(outcome, table)` of
-    /// every sample `s ∈ [first, last)`, in sample order.
+    /// every sample `s ∈ [0, sims)`, in sample order.
     ///
     /// Sample `s` draws its noise world and its edge coins from its own
     /// stream `split_seed(seed, s)`, and its value lands at index `s` of
@@ -215,11 +210,11 @@ impl<'a> WelfareEstimator<'a> {
     /// against [`Self::WORK_GRAIN`]), not by sample count: a handful of
     /// samples on a million-node graph is worth several cores, thousands
     /// on a toy graph are not.
-    fn sample_values<F>(&self, allocation: &Allocation, first: u32, last: u32, value: F) -> Vec<f64>
+    fn sample_values<F>(&self, allocation: &Allocation, value: F) -> Vec<f64>
     where
         F: Fn(&UicOutcome, &UtilityTable) -> f64 + Sync,
     {
-        let count = last.saturating_sub(first) as usize;
+        let count = self.sims as usize;
         // When the noise model is degenerate the utility table is shared
         // across all simulations; otherwise each world rebuilds it (2^n
         // entries — cheap for the paper's ≤ 10 items).
@@ -233,14 +228,14 @@ impl<'a> WelfareEstimator<'a> {
         let seed = self.seed;
         // The next unclaimed sample. It publishes no data: each worker's
         // values reach the caller through its join.
-        let next = AtomicU64::new(u64::from(first));
+        let next = AtomicU64::new(0);
         let work = || {
             let mut state: Option<CascadeState> = None;
             let mut outcome = UicOutcome::default();
             let mut done = Vec::new();
             loop {
                 let s = next.fetch_add(1, Ordering::Relaxed);
-                if s >= u64::from(last) {
+                if s >= count as u64 {
                     return done;
                 }
                 let state = state.get_or_insert_with(|| CascadeState::new(graph));
@@ -269,7 +264,7 @@ impl<'a> WelfareEstimator<'a> {
             let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(move |_| work())).collect();
             let mut place = |done: Vec<(u64, f64)>| {
                 for (s, x) in done {
-                    values[(s - u64::from(first)) as usize] = x;
+                    values[s as usize] = x;
                 }
             };
             place(work());
@@ -286,9 +281,7 @@ impl<'a> WelfareEstimator<'a> {
     /// welfare. Runs on the same sample kernel as the welfare estimate,
     /// folded sequentially over all samples.
     pub fn estimate_adoptions(&self, allocation: &Allocation) -> f64 {
-        let values = self.sample_values(allocation, 0, self.sims, |outcome, _| {
-            outcome.total_adoptions() as f64
-        });
+        let values = self.sample_values(allocation, |outcome, _| outcome.total_adoptions() as f64);
         let mut stats = OnlineStats::new();
         for x in values {
             stats.push(x);

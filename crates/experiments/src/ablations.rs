@@ -12,11 +12,11 @@
 //!   UIC: adopters take exactly one item, and splitting seeds beats
 //!   bundling.
 //! * **PRIMA vs per-budget IMM** — the oracle's cost advantage.
-//! * **Prefix preservation** (Definition 1) — PRIMA and SKIM orderings vs
-//!   naively reusing an IMM prefix, scored per budget against dedicated
+//! * **Prefix preservation** (Definition 1) — PRIMA's ordering vs naively
+//!   reusing an IMM prefix, scored per budget against dedicated
 //!   per-budget IMM runs.
-//! * **The IM algorithm zoo** — IMM / TIM⁺ / SSA / OPIM-C / SKIM /
-//!   high-degree / PageRank head-to-head at one budget.
+//! * **The IM algorithm zoo** — IMM / OPIM-C / high-degree / PageRank
+//!   head-to-head at one budget.
 //! * **bundleGRD vs direct pair-greedy** — the naive greedy on ρ itself.
 //!
 //! Allocations come from the solver registry (bundleGRD under LT, the
@@ -31,7 +31,7 @@ use uic_core::solver::{BundleGrd, DegreeTop, PageRankTop};
 use uic_core::{Allocator, WelMax};
 use uic_datasets::{NamedNetwork, TwoItemConfig};
 use uic_diffusion::{default_objective, personalized_welfare_mc, Allocation, WelfareEstimator};
-use uic_im::{imm, opim_c, prima, skim, ssa, tim_plus, DiffusionModel, RrCollection, SkimOptions};
+use uic_im::{imm, opim_c, prima, DiffusionModel, RrCollection};
 use uic_items::{AdditiveValuation, CoverageValuation, NoiseModel, Price, UtilityModel};
 use uic_util::Table;
 
@@ -251,9 +251,9 @@ pub fn ablation_welfare_vs_adoption(opts: &ExpOptions) -> Table {
 }
 
 /// Prefix preservation (Definition 1) across a budget vector: PRIMA's
-/// and SKIM's single orderings vs naively reusing the prefix of one IMM
-/// run at the max budget, all scored by a neutral RR judge against
-/// dedicated per-budget IMM runs (the "pay-per-budget" reference).
+/// single ordering vs naively reusing the prefix of one IMM run at the
+/// max budget, both scored by a neutral RR judge against dedicated
+/// per-budget IMM runs (the "pay-per-budget" reference).
 pub fn ablation_prefix_preservation(opts: &ExpOptions) -> Table {
     let g = network(NamedNetwork::Flixster, opts);
     let n = g.num_nodes();
@@ -267,7 +267,6 @@ pub fn ablation_prefix_preservation(opts: &ExpOptions) -> Table {
         DiffusionModel::IC,
         opts.seed,
     );
-    let s = skim(&g, b_max, &SkimOptions::default(), opts.seed);
     let imm_max = imm(&g, b_max, opts.eps, opts.ell, DiffusionModel::IC, opts.seed);
     // Neutral judge: a fresh RR collection none of the contestants saw.
     let mut judge = RrCollection::new(&g, DiffusionModel::IC, opts.seed ^ 0x1D6E);
@@ -277,7 +276,6 @@ pub fn ablation_prefix_preservation(opts: &ExpOptions) -> Table {
         &[
             "budget",
             "PRIMA prefix",
-            "SKIM prefix",
             "IMM@bmax prefix",
             "IMM per budget (reference)",
         ],
@@ -287,7 +285,6 @@ pub fn ablation_prefix_preservation(opts: &ExpOptions) -> Table {
         t.push_row(vec![
             k.to_string(),
             fmt(judge.estimate_spread(p.seeds_for_budget(k))),
-            fmt(judge.estimate_spread(s.prefix(k as usize))),
             fmt(judge.estimate_spread(&imm_max.seeds[..k as usize])),
             fmt(judge.estimate_spread(&reference)),
         ]);
@@ -305,12 +302,7 @@ pub fn ablation_im_algorithms(opts: &ExpOptions) -> Table {
     judge.extend_to(&g, 40_000);
     let mut t = Table::new(
         "Ablation: IM algorithm zoo (single item, one budget)",
-        &[
-            "algorithm",
-            "spread (judge)",
-            "cost (RR sets / instances)",
-            "time (ms)",
-        ],
+        &["algorithm", "spread (judge)", "cost (RR sets)", "time (ms)"],
     );
     let mut push = |name: &str, seeds: &[u32], cost: u64, ms: f64| {
         t.push_row(vec![
@@ -329,35 +321,11 @@ pub fn ablation_im_algorithms(opts: &ExpOptions) -> Table {
         clock.elapsed().as_secs_f64() * 1e3,
     );
     let clock = std::time::Instant::now();
-    let r = tim_plus(&g, k, opts.eps, opts.ell, DiffusionModel::IC, opts.seed);
-    push(
-        "TIM+",
-        &r.seeds,
-        r.rr_sets_total,
-        clock.elapsed().as_secs_f64() * 1e3,
-    );
-    let clock = std::time::Instant::now();
-    let r = ssa(&g, k, opts.eps, opts.ell, DiffusionModel::IC, opts.seed);
-    push(
-        "SSA",
-        &r.seeds,
-        (r.rr_sets_selection + r.rr_sets_validation) as u64,
-        clock.elapsed().as_secs_f64() * 1e3,
-    );
-    let clock = std::time::Instant::now();
     let r = opim_c(&g, k, opts.eps, opts.ell, DiffusionModel::IC, opts.seed);
     push(
         "OPIM-C",
         &r.seeds,
         r.rr_sets_total,
-        clock.elapsed().as_secs_f64() * 1e3,
-    );
-    let clock = std::time::Instant::now();
-    let r = skim(&g, k, &SkimOptions::default(), opts.seed);
-    push(
-        "SKIM",
-        &r.seeds,
-        SkimOptions::default().num_instances as u64,
         clock.elapsed().as_secs_f64() * 1e3,
     );
     // The heuristics run through the registry on a one-item instance
@@ -540,7 +508,6 @@ mod tests {
     fn prefix_preserving_orderings_track_the_per_budget_reference() {
         let t = ablation_prefix_preservation(&tiny());
         let prima_col = t.column_f64("PRIMA prefix").unwrap();
-        let skim_col = t.column_f64("SKIM prefix").unwrap();
         let reference = t.column_f64("IMM per budget (reference)").unwrap();
         for i in 0..t.len() {
             assert!(
@@ -549,24 +516,18 @@ mod tests {
                 prima_col[i],
                 reference[i]
             );
-            assert!(
-                skim_col[i] >= 0.8 * reference[i],
-                "row {i}: SKIM {} vs reference {}",
-                skim_col[i],
-                reference[i]
-            );
         }
     }
 
     #[test]
     fn im_zoo_guaranteed_algorithms_cluster_in_quality() {
         let t = ablation_im_algorithms(&tiny());
-        assert_eq!(t.len(), 7);
+        assert_eq!(t.len(), 4);
         let spreads = t.column_f64("spread (judge)").unwrap();
         let best = spreads.iter().cloned().fold(f64::MIN, f64::max);
-        // The five guaranteed algorithms (rows 0–4) must be within 15% of
+        // The two guaranteed algorithms (rows 0–1) must be within 15% of
         // the best; the structural heuristics may trail.
-        for (i, &s) in spreads.iter().take(5).enumerate() {
+        for (i, &s) in spreads.iter().take(2).enumerate() {
             assert!(s >= 0.85 * best, "row {i}: spread {s} vs best {best}");
         }
     }

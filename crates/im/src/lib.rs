@@ -20,9 +20,6 @@
 //! * [`mod@imm`] — IMM of Tang et al. (2015) with the Chen (2018) fix: the
 //!   final RR collection is regenerated from scratch before the last
 //!   `NodeSelection`. It is PRIMA on the single budget `[k]`.
-//! * [`tim`] — TIM⁺ (Tang et al., 2014), the predecessor that generates
-//!   substantially more RR sets; the RR-SIM+/RR-CIM baselines are built
-//!   on it, matching Fig. 6's memory comparison.
 //! * [`mod@prima`] — **PRIMA** (Algorithm 2): the prefix-preserving
 //!   multi-budget IMM extension that powers bundleGRD; its seed ordering
 //!   is simultaneously near-optimal for *every* budget in the vector.
@@ -32,16 +29,9 @@
 //! * [`greedy`] — CELF-style lazy greedy over an arbitrary monotone
 //!   submodular oracle (exact spread on tiny graphs in tests; MC spread
 //!   otherwise), used to validate approximation ratios empirically.
-//! * [`mod@ssa`] — Stop-and-Stare (Nguyen et al., 2016; corrected per
-//!   Huang et al., 2017): independent selection/validation collections
-//!   with doubling until the estimates agree. Named in §4.2.3 as *not*
-//!   prefix-preserving.
 //! * [`mod@opim`] — OPIM-C (Tang et al., 2018): online doubling with
-//!   per-round lower/upper approximation certificates. Also named in
-//!   §4.2.3 as not prefix-preserving.
-//! * [`mod@skim`] — SKIM (Cohen et al., 2014): bottom-k-sketch greedy
-//!   with residual updates; the one *prefix-preserving* predecessor the
-//!   paper credits in §2.1, and PRIMA's natural ablation partner.
+//!   per-round lower/upper approximation certificates. Named in §4.2.3
+//!   as not prefix-preserving.
 
 pub mod greedy;
 pub mod imm;
@@ -50,9 +40,6 @@ pub mod opim;
 pub mod plan;
 pub mod prima;
 pub mod rrset;
-pub mod skim;
-pub mod ssa;
-pub mod tim;
 
 pub use greedy::{greedy_celf, greedy_mc_spread};
 pub use imm::{imm, ImmResult};
@@ -61,6 +48,3 @@ pub use opim::{opim_c, OpimResult};
 pub use plan::SelectionPlan;
 pub use prima::{prima, warm_prima, warm_prima_on, ExclusiveArena, PrimaResult, WarmArena};
 pub use rrset::{DiffusionModel, RrCollection, RrSampler, StandardRrSampler};
-pub use skim::{skim, SkimOptions, SkimResult};
-pub use ssa::{ssa, SsaResult};
-pub use tim::{tim_plus, TimResult};

@@ -1,6 +1,6 @@
 //! `NodeSelection(R, k)`: greedy max-coverage over RR sets.
 //!
-//! The procedure shared by TIM, IMM and PRIMA (§4.2.3: "All RIS
+//! The procedure shared by IMM, OPIM-C and PRIMA (§4.2.3: "All RIS
 //! algorithms use the same well-known coverage procedure"). Greedily picks
 //! the node covering the most uncovered RR sets, `k` times. Because greedy
 //! is deterministic on a fixed collection, the result for budget `k` is a

@@ -2,11 +2,11 @@
 //! termination certificates (Tang, Tang, Xiao & Yuan, SIGMOD 2018; the
 //! paper's reference \[50\]).
 //!
-//! Like SSA, OPIM is listed in §4.2.3 as a state-of-the-art RIS algorithm
-//! that is **not** prefix-preserving — implementing it completes the set
-//! of algorithms PRIMA is contrasted against, and its per-round
-//! lower/upper welfare certificates are independently useful for the
-//! experiment harness (they quantify *how* approximate a seed set is).
+//! OPIM is listed in §4.2.3 as a state-of-the-art RIS algorithm that is
+//! **not** prefix-preserving, so it is PRIMA's contrast beside IMM, and
+//! its per-round lower/upper welfare certificates are independently
+//! useful for the experiment harness (they quantify *how* approximate a
+//! seed set is).
 //!
 //! ## Algorithm
 //!

@@ -251,8 +251,8 @@ pub fn warm_prima_on<A: WarmArena>(
 }
 
 /// Sample-size coefficients of the certification loop (Eqs. 7–8), shared
-/// by IMM and PRIMA through [`certify`]; OPIM-C and SSA borrow `λ*` as
-/// their sample cap.
+/// by IMM and PRIMA through [`certify`]; OPIM-C borrows `λ*` as its
+/// sample cap.
 pub(crate) struct Bounds {
     n: f64,
     ell: f64,

@@ -84,7 +84,7 @@ pub trait RrSampler: Sync {
     );
 }
 
-/// The standard IC/LT reverse sampler used by TIM/IMM/OPIM/SSA/PRIMA:
+/// The standard IC/LT reverse sampler used by IMM/OPIM/PRIMA:
 /// sample `index` draws its root and coins from stream
 /// `split_seed(seed, index)`.
 #[derive(Debug, Clone, Copy)]
@@ -983,7 +983,7 @@ impl RrCollection {
     /// Walks the inverted-index lists of the seeds and counts distinct
     /// set ids against an epoch-stamped scratch — `O(Σ_s |R(s)|)` with
     /// no per-call allocation, instead of scanning the whole collection
-    /// (OPIM/SSA call this in their per-round certificate loops).
+    /// (OPIM calls this in its per-round certificate loop).
     pub fn estimate_spread(&mut self, seeds: &[NodeId]) -> f64 {
         let len = self.len();
         if len == 0 {

@@ -1,17 +1,16 @@
-//! A guided tour of the influence-maximization algorithm zoo.
+//! A guided tour of the influence-maximization algorithms in the
+//! workspace.
 //!
 //! The paper builds on fifteen years of IM algorithms and positions
 //! PRIMA against the strongest of them (§2.1, §4.2.3). This example runs
-//! all of them on one network and one budget, scoring every seed set
-//! with a shared Monte-Carlo spread estimate, so you can see the
-//! quality/cost landscape the paper describes:
+//! PRIMA, its RIS relatives and the classic baselines on one network and
+//! one budget, scoring every seed set with a shared Monte-Carlo spread
+//! estimate, so you can see the quality/cost landscape the paper
+//! describes:
 //!
 //! * **IMM** — the scalable RIS baseline bundleGRD builds on;
-//! * **TIM⁺** — its predecessor (more RR sets for the same answer);
-//! * **SSA** — stop-and-stare: often fewer sets, same quality;
 //! * **OPIM-C** — online doubling with an explicit approximation
 //!   certificate, printed here;
-//! * **SKIM** — bottom-k sketches, the one prefix-preserving predecessor;
 //! * **PRIMA** — the paper's multi-budget prefix-preserving extension;
 //! * **high-degree / PageRank** — the classic structural heuristics of
 //!   KKT'03 (no guarantee, no sampling);
@@ -34,7 +33,7 @@ fn main() {
     );
 
     let mut report = Table::new(
-        "IM algorithm zoo (spread via 2k-world MC; cost = RR sets or instances)",
+        "IM algorithms (spread via 2k-world MC; cost = RR sets)",
         &["algorithm", "spread", "cost", "time (ms)", "notes"],
     );
     let score = |seeds: &[NodeId]| spread_mc(&g, seeds, 2_000, 99);
@@ -50,34 +49,6 @@ fn main() {
     ]);
 
     let t = std::time::Instant::now();
-    let r = tim_plus(&g, k, 0.5, 1.0, DiffusionModel::IC, 42);
-    report.push_row(vec![
-        "TIM+".into(),
-        format!("{:.1}", score(&r.seeds)),
-        r.rr_sets_total.to_string(),
-        format!("{:.0}", t.elapsed().as_secs_f64() * 1e3),
-        "pre-IMM; oversamples".into(),
-    ]);
-
-    let t = std::time::Instant::now();
-    let r = ssa(&g, k, 0.5, 1.0, DiffusionModel::IC, 42);
-    report.push_row(vec![
-        "SSA".into(),
-        format!("{:.1}", score(&r.seeds)),
-        (r.rr_sets_selection + r.rr_sets_validation).to_string(),
-        format!("{:.0}", t.elapsed().as_secs_f64() * 1e3),
-        format!(
-            "stare {} after {} rounds",
-            if r.stare_certified {
-                "certified"
-            } else {
-                "capped"
-            },
-            r.rounds
-        ),
-    ]);
-
-    let t = std::time::Instant::now();
     let r = opim_c(&g, k, 0.5, 1.0, DiffusionModel::IC, 42);
     report.push_row(vec![
         "OPIM-C".into(),
@@ -88,16 +59,6 @@ fn main() {
             "certified σ ∈ [{:.0}, OPT ≤ {:.0}], ratio {:.2}",
             r.spread_lower, r.opt_upper, r.ratio
         ),
-    ]);
-
-    let t = std::time::Instant::now();
-    let r = skim(&g, k, &SkimOptions::default(), 42);
-    report.push_row(vec![
-        "SKIM".into(),
-        format!("{:.1}", score(&r.seeds)),
-        format!("{} instances", r.num_instances),
-        format!("{:.0}", t.elapsed().as_secs_f64() * 1e3),
-        "prefix-preserving ordering".into(),
     ]);
 
     let t = std::time::Instant::now();
@@ -162,8 +123,8 @@ fn main() {
 
     println!("{report}");
     println!(
-        "Takeaways: the RIS family (IMM/SSA/OPIM) clusters at the same quality;\n\
-         TIM+ pays more samples for it; SKIM and PRIMA additionally hand back a\n\
-         budget-agnostic *ordering*; the heuristics are instant but guarantee-free."
+        "Takeaways: the RIS family (IMM/OPIM/PRIMA) clusters at the same quality;\n\
+         PRIMA additionally hands back a budget-agnostic *ordering*; the\n\
+         heuristics are instant but guarantee-free."
     );
 }

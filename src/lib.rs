@@ -10,8 +10,8 @@
 //! |---|---|
 //! | [`graph`] | CSR influence graphs with compressed weight storage, traversal, SCC, stats, binary snapshots, I/O |
 //! | [`items`] | itemsets, prices, supermodular valuations, noise, utility, adoption oracle, block accounting, GAP conversion |
-//! | [`diffusion`] | IC / LT / UIC / Com-IC simulation, possible worlds, welfare estimation, [`SolveReport`](diffusion::SolveReport) |
-//! | [`im`] | RR sets, NodeSelection, IMM, TIM⁺, SSA, OPIM-C, SKIM, **PRIMA**, CELF greedy |
+//! | [`diffusion`] | IC / LT / UIC simulation, possible worlds, welfare estimation, [`SolveReport`](diffusion::SolveReport) |
+//! | [`im`] | RR sets, NodeSelection, IMM, OPIM-C, **PRIMA**, CELF greedy |
 //! | [`core`] | WelMax, **bundleGRD**, the [`Allocator`](core::Allocator) registry (every solver's entry point), block-accounting bounds, brute-force solver |
 //! | [`baselines`] | engines of bundle-disj, RR-SIM+, RR-CIM, BDHS and pair-greedy; PageRank |
 //! | [`datasets`] | Table-2 network stand-ins, Table-3/4/5 configurations, config text format, auction learning |
@@ -84,7 +84,7 @@ pub mod prelude {
         PerCommunity, Utilitarian, WelfareEstimator, WelfareObjective,
     };
     pub use uic_graph::{CommunityLabels, Graph, GraphBuilder, GraphStats, NodeId, Weighting};
-    pub use uic_im::{imm, opim_c, prima, skim, ssa, tim_plus, DiffusionModel, SkimOptions};
+    pub use uic_im::{imm, opim_c, prima, DiffusionModel};
     pub use uic_items::{
         AdditiveValuation, AdoptionOracle, ConeValuation, CoverageValuation, GapParams,
         GapRelation, ItemSet, LevelWiseValuation, NoiseDistribution, NoiseModel,

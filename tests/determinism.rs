@@ -51,9 +51,6 @@ fn seed_selection_replays_exactly() {
         assert_eq!(a.order, b.order);
         assert_eq!(a.rr_sets_final, b.rr_sets_final);
     }
-    let a = tim_plus(&g, 5, 0.4, 1.0, DiffusionModel::IC, 13);
-    let b = tim_plus(&g, 5, 0.4, 1.0, DiffusionModel::IC, 13);
-    assert_eq!(a.seeds, b.seeds);
 }
 
 #[test]

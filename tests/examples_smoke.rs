@@ -78,8 +78,8 @@ fn campaign_planner_core_path() {
     assert!(report.to_string().contains("campaign plans"));
 }
 
-/// `examples/im_algorithm_tour.rs`: every IM algorithm in the zoo on one
-/// network and budget, plus the shared MC spread scorer.
+/// `examples/im_algorithm_tour.rs`: every IM algorithm of the tour on
+/// one network and budget, plus the shared MC spread scorer.
 #[test]
 fn im_algorithm_tour_core_path() {
     let g = named_network(NamedNetwork::Flixster, 0.05, 7);
@@ -90,21 +90,9 @@ fn im_algorithm_tour_core_path() {
     assert_eq!(r.seeds.len(), k as usize);
     assert!(score(&r.seeds) >= k as f64 - 1e-9);
 
-    let r = tim_plus(&g, k, 0.5, 1.0, DiffusionModel::IC, 42);
-    assert_eq!(r.seeds.len(), k as usize);
-    assert!(r.rr_sets_total > 0);
-
-    let r = ssa(&g, k, 0.5, 1.0, DiffusionModel::IC, 42);
-    assert_eq!(r.seeds.len(), k as usize);
-    assert!(r.rounds >= 1);
-
     let r = opim_c(&g, k, 0.5, 1.0, DiffusionModel::IC, 42);
     assert_eq!(r.seeds.len(), k as usize);
     assert!(r.spread_lower <= r.opt_upper);
-
-    let r = skim(&g, k, &SkimOptions::default(), 42);
-    assert_eq!(r.seeds.len(), k as usize);
-    assert!(r.num_instances > 0);
 
     let r = prima(&g, &[k, k / 2], 0.5, 1.0, DiffusionModel::IC, 42);
     assert!(r.order.len() >= k as usize);

@@ -238,13 +238,3 @@ fn rr_sets_on_edgeless_graph_are_singletons() {
         assert_eq!(r.len(), 1, "no edges ⇒ RR set is its root only");
     }
 }
-
-#[test]
-fn skim_on_edgeless_graph_returns_any_ordering_with_unit_marginals() {
-    let g = Graph::from_edges(4, &[]);
-    let r = skim(&g, 4, &SkimOptions::default(), 1);
-    assert_eq!(r.seeds.len(), 4);
-    for &m in &r.marginal_spreads {
-        assert!((m - 1.0).abs() < 1e-9, "each seed covers exactly itself");
-    }
-}

@@ -1,7 +1,6 @@
 //! Property-based tests (proptest) on the influence-maximization
-//! machinery: PageRank invariants, SKIM's sketch accounting, greedy
-//! max-coverage structure, and live-edge world consistency — all over
-//! randomly generated graphs.
+//! machinery: PageRank invariants, greedy max-coverage structure, and
+//! live-edge world consistency — all over randomly generated graphs.
 
 use proptest::prelude::*;
 use uic::prelude::*;
@@ -41,43 +40,6 @@ proptest! {
         let scores = pagerank(&g, 0.0, 5);
         for &s in &scores {
             prop_assert!((s - 0.1).abs() < 1e-9);
-        }
-    }
-
-    /// SKIM with the full budget returns a permutation of the nodes and
-    /// marginals that telescope to exactly n (every (instance, node)
-    /// pair gets covered exactly once).
-    #[test]
-    fn skim_full_budget_is_a_permutation_with_telescoping_marginals(
-        g in small_graph(10, 30),
-        seed in 0u64..1000,
-    ) {
-        let opts = SkimOptions { num_instances: 8, sketch_size: 8 };
-        let r = skim(&g, 10, &opts, seed);
-        prop_assert_eq!(r.seeds.len(), 10);
-        let mut sorted = r.seeds.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), 10, "seeds must be distinct");
-        let total: f64 = r.marginal_spreads.iter().sum();
-        prop_assert!((total - 10.0).abs() < 1e-9, "telescoped to {total}");
-        // Marginals are per-seed averages over instances: each in [0, n].
-        for &m in &r.marginal_spreads {
-            prop_assert!((0.0..=10.0).contains(&m));
-        }
-    }
-
-    /// SKIM marginal estimates are honest: the prefix-sum estimate never
-    /// exceeds n and is at least the prefix length × (1/instances)
-    /// (every seed covers at least itself in every instance, unless
-    /// already covered — in which case an earlier marginal absorbed it).
-    #[test]
-    fn skim_prefix_estimates_bounded(g in small_graph(10, 30), seed in 0u64..1000) {
-        let r = skim(&g, 5, &SkimOptions { num_instances: 4, sketch_size: 4 }, seed);
-        for k in 1..=r.seeds.len() {
-            let est = r.estimated_spread(k);
-            prop_assert!(est <= 10.0 + 1e-9, "estimate {est} exceeds n");
-            prop_assert!(est >= 0.0);
         }
     }
 
